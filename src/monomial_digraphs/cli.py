@@ -7,11 +7,10 @@ identical invocations; timings and diagnostics go to stderr.
 
 import argparse
 import json
-import math
 import os
 import sys
 
-from .field import make_field, factor_prime_power, field_for_order
+from .field import make_field, field_for_order
 from .digraph import (build_monomial, export, count_cycles_by_length,
                       BudgetExceededError)
 from . import invariants

@@ -88,7 +88,6 @@ def build_monomial(field: Field, m: int, n: int) -> Digraph:
             for y1 in range(q):
                 y2 = field.sub(field.mul(xm[x1], yn[y1]), x2)
                 row.append(y1 * q + y2)
-            row.sort()
             adj.append(row)
     return Digraph(adj, field=field, params=params)
 

@@ -183,11 +183,6 @@ class Field:
             return 0
         return self.exp[(m * self.log[a]) % (self.q - 1)]
 
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        return (self.q - 1) // math.gcd(self.log[a], self.q - 1)
-
 
 def make_field(p: int, e: int) -> Field:
     """Construct GF(p^e) deterministically.

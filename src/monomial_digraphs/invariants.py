@@ -6,11 +6,18 @@ directly, so the two routes can check each other.
 
 from dataclasses import dataclass, asdict
 from itertools import combinations
+from math import comb
 
 from .field import Field, gcd_bar
 from .digraph import Digraph, count_cycles_by_length, DEFAULT_CYCLE_BUDGET
 
 MOTIF_NAMES = ("K", "directed-K22")
+
+# InvariantProfile fields compared after the gcd filter, in witness order.
+# k22_motif_count is left out: k22_formula shows it is fixed by
+# (q, m_bar, n_bar), which the filter has already found equal.
+PRUNING_FIELDS = ("loop_total", "loop_distinct_nonzero_y",
+                  "two_cycle_count", "k_motif_count")
 
 
 @dataclass(frozen=True)
@@ -74,12 +81,31 @@ def two_cycle_formula(q: int, m: int, n: int) -> int:
     return q * (q - 1) * (2 + gcd_bar(m - n, q)) // 2
 
 
+def k22_formula(q: int, m: int, n: int) -> int:
+    """Directed-K22 count of D(q; m, n), a function of (q, m_bar, n_bar).
+
+    Distinct tails (a1, a2), (b1, b2) share the head (y1, y2) iff
+    (a1^m - b1^m) * y1^n = a2 - b2.  When a1^m = b1^m they share q heads
+    if a2 = b2 and none otherwise.  Else they share n_bar heads for the
+    (q-1)/n_bar nonzero differences a2 - b2 that make the quotient an n-th
+    power, and at most one head for the rest.
+    """
+    m_bar, n_bar = gcd_bar(m, q), gcd_bar(n, q)
+    equal_powers = 1 + (q - 1) * m_bar       # ordered (a1, b1), a1^m = b1^m
+    ordered = ((q * q - equal_powers) * (q * (q - 1) // n_bar)
+               * comb(n_bar, 2)
+               + q * (q - 1) * (m_bar - 1) * comb(q, 2))
+    return ordered // 2
+
+
 def motif_census(D: Digraph, name: str) -> int:
     """Count copies of a small test digraph.
 
     K: ordered pairs (alpha, beta) of distinct looped vertices with the arc
     alpha -> beta.  directed-K22: pairs ({u1,u2}, {w1,w2}) of 2-sets with
-    all four arcs ui -> wj; tail and head sets may overlap.
+    all four arcs ui -> wj; tail and head sets may overlap.  For monomial
+    digraphs directed-K22 is k22_formula; the pair scan below is its
+    brute-force twin and serves digraphs without params.
     """
     if name == "K":
         looped = [v for v in range(D.n) if D.has_arc(v, v)]
@@ -90,6 +116,8 @@ def motif_census(D: Digraph, name: str) -> int:
                     count += 1
         return count
     if name == "directed-K22":
+        if D.params is not None:
+            return k22_formula(D.params.q, D.params.m, D.params.n)
         outs = [set(nbrs) for nbrs in D.adj]
         count = 0
         for u1, u2 in combinations(range(D.n), 2):

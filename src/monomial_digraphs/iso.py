@@ -7,7 +7,7 @@ that returns checkable certificates.
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .field import Field, units_mod, lagrange_interpolate
 from .digraph import Digraph
@@ -239,17 +239,18 @@ def iso_search(D1: Digraph, D2: Digraph,
                                   seconds=time.perf_counter() - t0)
         p1 = invariants.profile(D1)
         p2 = invariants.profile(D2)
-        for name in ("loop_total", "loop_distinct_nonzero_y",
-                     "two_cycle_count", "k_motif_count", "k22_motif_count"):
+        for name in invariants.PRUNING_FIELDS:
             if getattr(p1, name) != getattr(p2, name):
                 return IsoCertificate("NonIso", witness=name,
                                       seconds=time.perf_counter() - t0)
 
-    state = {"nodes": 0}
+    state = {"nodes": 0, "root_separated": False}
 
     def search(c1, c2):
         refined = _refine(D1, D2, c1, c2)
         if refined is None:
+            # only the root call runs before the first backtrack node
+            state["root_separated"] = state["nodes"] == 0
             return None
         c1, c2 = refined
         classes1 = _classes_by_color(c1)
@@ -287,11 +288,8 @@ def iso_search(D1: Digraph, D2: Digraph,
     mapping = search(init1, init2)
     elapsed = time.perf_counter() - t0
     if mapping is None:
-        # initial refinement may already have separated the digraphs
-        if state["nodes"] == 0 and _refine(D1, D2, init1, init2) is None:
-            witness = "color-refinement"
-        else:
-            witness = "search-exhausted"
+        witness = ("color-refinement" if state["root_separated"]
+                   else "search-exhausted")
         return IsoCertificate("NonIso", witness=witness,
                               nodes=state["nodes"], seconds=elapsed)
     assert verify_mapping(D1, D2, mapping)

@@ -19,9 +19,6 @@ from .iso import (explicit_iso, power_map, verify_mapping, conjugate_classes,
                   iso_search, ParameterClass, UndecidedError,
                   DEFAULT_SEARCH_BUDGET)
 
-DEFAULT_MAX_Q = 16
-DEFAULT_MAX_Q_M1 = 27
-
 
 @dataclass
 class SweepReport:
@@ -60,11 +57,17 @@ def prime_powers(q_min: int, q_max: int):
     return out
 
 
+class CacheCorruptError(OSError):
+    """A cache line other than the last one does not decode."""
+
+
 class ProfileCache:
     """Append-only JSONL cache of invariant profiles keyed by (q, m, n).
 
-    A corrupt trailing line (truncated write) is tolerated on reload with
-    a warning on stderr.
+    A corrupt trailing line (truncated write) is dropped on reload with a
+    warning on stderr, and the file is cut back to the end of its last
+    good line so that new records start on a line of their own.  A corrupt
+    line before the last raises CacheCorruptError.
     """
 
     def __init__(self, path):
@@ -76,24 +79,35 @@ class ProfileCache:
 
     def _load(self):
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = fh.read().split("\n")
+            with open(self.path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
             return
+        lines = data.split(b"\n")
+        end = 0                         # byte offset just past line i
         for i, line in enumerate(lines):
+            start, end = end, end + len(line) + 1
             if not line:
                 continue
             try:
                 rec = json.loads(line)
                 key = (rec["q"], rec["m"], rec["n"])
                 prof = invariants.InvariantProfile(**_profile_kwargs(rec["profile"]))
-            except (ValueError, KeyError, TypeError):
-                if i == len(lines) - 1 or (i == len(lines) - 2 and not lines[-1]):
-                    print(f"warning: dropping corrupt trailing cache line in "
-                          f"{self.path}", file=sys.stderr)
-                    continue
-                raise
+            except (ValueError, KeyError, TypeError) as exc:
+                if any(lines[i + 1:]):
+                    raise CacheCorruptError(
+                        f"corrupt cache line {i + 1} in {self.path}: "
+                        f"{exc}") from exc
+                print(f"warning: dropping corrupt trailing cache line in "
+                      f"{self.path}", file=sys.stderr)
+                with open(self.path, "r+b") as fh:
+                    fh.truncate(start)
+                return
             self.entries[key] = prof
+        if data and not data.endswith(b"\n"):
+            # the last record is whole but lost its newline
+            with open(self.path, "ab") as fh:
+                fh.write(b"\n")
 
     def get(self, q, m, n):
         return self.entries.get((q, m, n))
@@ -126,10 +140,6 @@ def _m1_classes(q):
     multiplication meets m = 1 only at k = 1, so these are singletons."""
     return [ParameterClass(q=q, members=((1, n),), canonical_rep=(1, n))
             for n in range(1, q)]
-
-
-_PROFILE_FIELDS = ("loop_total", "loop_distinct_nonzero_y",
-                   "two_cycle_count", "k_motif_count", "k22_motif_count")
 
 
 def sweep_one(q, *, m1_only=False, cache=None,
@@ -188,7 +198,7 @@ def sweep_one(q, *, m1_only=False, cache=None,
             prof_i = rep_profile(*reps[i])
             prof_j = rep_profile(*reps[j])
             if any(getattr(prof_i, f) != getattr(prof_j, f)
-                   for f in _PROFILE_FIELDS):
+                   for f in invariants.PRUNING_FIELDS):
                 report.resolved_by_invariant += 1
                 continue
             try:

@@ -121,6 +121,15 @@ def test_sweep_report_file_and_cache(capsys, tmp_path):
     assert cache.exists()
 
 
+def test_sweep_corrupt_cache_is_io_error(capsys, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text('{"q": 7, "m": 1, "tru\n{}\n', encoding="utf-8")
+    code, _, err = run(capsys, "sweep", "--qmin", "7", "--qmax", "7",
+                       "--m1-only", "--cache", str(cache))
+    assert code == 3
+    assert "corrupt cache line 1" in err
+
+
 def test_census_and_cycles_and_trinomial(capsys):
     code, out, _ = run(capsys, "census", "17", "1", "4")
     assert (code, out.strip()) == (0, "16")

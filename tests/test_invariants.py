@@ -3,10 +3,11 @@ from itertools import combinations
 import pytest
 
 from monomial_digraphs.field import field_for_order, gcd_bar
-from monomial_digraphs.digraph import build_monomial, reverse
+from monomial_digraphs.digraph import Digraph, build_monomial, reverse
 from monomial_digraphs.invariants import (gcd_profile, count_loops,
                                           two_cycle_count, two_cycle_formula,
-                                          motif_census, trinomial_root_count,
+                                          k22_formula, motif_census,
+                                          trinomial_root_count,
                                           necessary_filter, profile)
 
 
@@ -76,6 +77,18 @@ def test_k22_census_against_bruteforce():
     for q, m, n in ((2, 1, 1), (3, 1, 2), (4, 1, 2)):
         D = build(q, m, n)
         assert motif_census(D, "directed-K22") == _k22_oracle(D)
+
+
+def test_k22_formula_against_pair_scan():
+    # a copy without params takes the pair scan, the formula's twin
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        F = field_for_order(q)
+        for m in range(1, q):
+            for n in range(1, q):
+                D = build_monomial(F, m, n)
+                assert (k22_formula(q, m, n)
+                        == motif_census(Digraph(D.adj), "directed-K22")), \
+                    (q, m, n)
 
 
 def test_unknown_motif_rejected():

@@ -4,6 +4,7 @@ import pytest
 
 from monomial_digraphs.field import field_for_order, units_mod, poly_eval
 from monomial_digraphs.digraph import build_monomial, reverse
+from monomial_digraphs import iso
 from monomial_digraphs.iso import (explicit_iso, power_map, psi_automorphism,
                                    compose, identity_map, verify_mapping,
                                    conjugate_classes, stable_coloring,
@@ -137,6 +138,22 @@ def test_iso_search_hard_reverse_pair():
     assert cert.verdict == "NonIso"
     assert cert.witness == "search-exhausted"
     assert cert.nodes > 0
+
+
+def test_iso_search_root_refinement_runs_once(monkeypatch):
+    calls = []
+    refine = iso._refine
+
+    def counting_refine(*args):
+        calls.append(1)
+        return refine(*args)
+
+    monkeypatch.setattr(iso, "_refine", counting_refine)
+    cert = iso_search(build(11, 1, 3), build(11, 1, 7))
+    assert cert.verdict == "NonIso"
+    assert cert.witness == "color-refinement"
+    assert cert.nodes == 0
+    assert len(calls) == 1
 
 
 def test_iso_search_budget():

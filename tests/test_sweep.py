@@ -87,8 +87,32 @@ def test_cache_tolerates_corrupt_trailing_line(tmp_path, capsys):
 
     cache2 = ProfileCache(str(path))
     assert len(cache2.entries) == n_entries
-    cache2.close()
     assert "corrupt trailing" in capsys.readouterr().err
+    sweep_one(9, cache=cache2)                 # appends after the torn line
+    cache2.close()
+    assert len(cache2.entries) > n_entries
+
+    cache3 = ProfileCache(str(path))
+    assert cache3.entries == cache2.entries
+    cache3.close()
+    assert capsys.readouterr().err == ""
+
+
+def test_cache_restores_lost_final_newline(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ProfileCache(str(path))
+    sweep_one(8, cache=cache)
+    cache.close()
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[:-1], encoding="utf-8")    # torn just before "\n"
+
+    cache2 = ProfileCache(str(path))
+    sweep_one(9, cache=cache2)
+    cache2.close()
+    cache3 = ProfileCache(str(path))
+    assert cache3.entries == cache2.entries
+    assert len(cache3.entries) > len(cache.entries)
+    cache3.close()
 
 
 def test_reports_deterministic_up_to_wall_time():
