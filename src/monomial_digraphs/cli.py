@@ -28,8 +28,6 @@ CACHE_ENV_VAR = "MONOMIAL_DIGRAPHS_CACHE"
 def _parser():
     p = argparse.ArgumentParser(prog="mdg",
                                 description="monomial digraph toolkit")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker count (currently advisory)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("field-info", help="show field construction data")
@@ -167,6 +165,8 @@ def _cmd_sweep(args):
                   f"undecided={r.undecided} "
                   f"counterexamples={len(r.counterexamples)} "
                   f"filter-efficacy={frac:.3f}")
+    for r in reports:
+        print(f"q={r.q:3d} time={r.wall_time:.3f}s", file=sys.stderr)
     bad = sum(len(r.counterexamples) for r in reports)
     und = sum(r.undecided for r in reports)
     print(f"total counterexamples: {bad}, undecided: {und}", file=sys.stderr)

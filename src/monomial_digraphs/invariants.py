@@ -4,7 +4,7 @@ Every closed-form count here has a brute-force twin that scans the digraph
 directly, so the two routes can check each other.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from itertools import combinations
 from math import comb
 
@@ -188,20 +188,26 @@ def _unpack(params):
 
 def profile(D: Digraph, cycle_cap: int | None = None,
             cycle_budget: int = DEFAULT_CYCLE_BUDGET) -> InvariantProfile:
-    """Full invariant profile of a monomial digraph."""
+    """Full invariant profile of a monomial digraph.
+
+    The profile without cycle spectrum is computed once per digraph and
+    kept on it; later calls return it."""
     if D.params is None:
         raise ValueError("profile requires a monomial digraph")
-    q, m, n = D.params.q, D.params.m, D.params.n
-    m_bar, n_bar, sum_bar, diff_bar = gcd_profile(q, m, n)
-    loop_total, loop_y = count_loops(D)
-    spectrum = None
-    if cycle_cap is not None:
-        spectrum = tuple(count_cycles_by_length(D, cycle_cap, cycle_budget))
-    return InvariantProfile(
-        m_bar=m_bar, n_bar=n_bar, sum_bar=sum_bar, diff_bar=diff_bar,
-        loop_total=loop_total, loop_distinct_nonzero_y=loop_y,
-        two_cycle_count=two_cycle_count(D),
-        k_motif_count=motif_census(D, "K"),
-        k22_motif_count=motif_census(D, "directed-K22"),
-        cycle_spectrum=spectrum,
-    )
+    base = getattr(D, "_profile", None)
+    if base is None:
+        q, m, n = D.params.q, D.params.m, D.params.n
+        m_bar, n_bar, sum_bar, diff_bar = gcd_profile(q, m, n)
+        loop_total, loop_y = count_loops(D)
+        base = InvariantProfile(
+            m_bar=m_bar, n_bar=n_bar, sum_bar=sum_bar, diff_bar=diff_bar,
+            loop_total=loop_total, loop_distinct_nonzero_y=loop_y,
+            two_cycle_count=two_cycle_count(D),
+            k_motif_count=motif_census(D, "K"),
+            k22_motif_count=motif_census(D, "directed-K22"),
+        )
+        D._profile = base
+    if cycle_cap is None:
+        return base
+    spectrum = tuple(count_cycles_by_length(D, cycle_cap, cycle_budget))
+    return replace(base, cycle_spectrum=spectrum)

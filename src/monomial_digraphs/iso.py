@@ -83,6 +83,53 @@ def psi_automorphism(F: Field, m: int, n: int, c: int):
     return [F.mul(c, v // q) * q + F.mul(cs, v % q) for v in range(q * q)]
 
 
+def _known_automorphisms(D: Digraph):
+    """The automorphisms (x, y) -> (c*phi(x), c^(m+n)*phi(y) + t) of
+    D = D(q; m, n), for nonzero c, phi = Frob^j with j < e, and t in GF(q)
+    when p = 2 (a shift of both second coordinates leaves x2 + y2 alone in
+    characteristic 2), t = 0 otherwise.
+
+    Returns (elements, apply): the (c, j, t) triples, identity first, which
+    form a group of order (q-1)*e*(q if p = 2 else 1), and apply(g, v), the
+    image of vertex id v under g.  Elements are applied from their
+    parameters; no permutation list is kept.  Every element is a product
+    of the generators psi at the primitive element, Frob when e > 1 and
+    the shifts by p^i when p = 2, which are checked with verify_mapping on
+    D itself, since params need not describe the arcs.  Returns None when
+    a generator fails that check or D carries no field or params.
+    """
+    F, P = D.field, D.params
+    if F is None or P is None or F.q != P.q or D.n != F.q * F.q:
+        return None
+    q, p, e = F.q, F.p, F.e
+    frob = [[F.pow(x, p ** j) for x in range(q)] for j in range(e)]
+    xs, ys = [], []                     # indexed by (c - 1) * e + j
+    for c in range(1, q):
+        cs = F.pow(c, P.m + P.n)
+        for j in range(e):
+            xs.append([F.mul(c, a) for a in frob[j]])
+            ys.append([F.mul(cs, a) for a in frob[j]])
+
+    def apply(g, v):
+        c, j, t = g
+        k = (c - 1) * e + j
+        # t is 0 unless p = 2, where addition of ids is XOR
+        return xs[k][v // q] * q + (ys[k][v % q] ^ t)
+
+    shifts = range(q) if p == 2 else (0,)
+    gens = [(F.primitive, 0, 0)]
+    if e > 1:
+        gens.append((1, 1, 0))
+    if p == 2:
+        gens.extend((1, 0, p ** i) for i in range(e))
+    for g in gens:
+        if not verify_mapping(D, D, [apply(g, v) for v in range(D.n)]):
+            return None
+    elements = [(c, j, t) for c in range(1, q) for j in range(e)
+                for t in shifts]
+    return elements, apply
+
+
 def compose(outer, inner):
     """(outer o inner)[v] = outer[inner[v]]."""
     return [outer[w] for w in inner]
@@ -225,7 +272,10 @@ def iso_search(D1: Digraph, D2: Digraph,
     """Decide isomorphism with a verifiable certificate.
 
     Invariant filters first, then color refinement, then complete
-    individualization-refinement backtracking.  Exceeding `budget`
+    individualization-refinement backtracking.  When D2 is a monomial
+    digraph, the search skips a candidate that a known automorphism of D2
+    (see _known_automorphisms) maps onto one that already failed; this
+    saves nodes and changes no verdict or mapping.  Exceeding `budget`
     backtrack nodes raises UndecidedError (never reported as NonIso).
     """
     t0 = time.perf_counter()
@@ -245,8 +295,13 @@ def iso_search(D1: Digraph, D2: Digraph,
                                       seconds=time.perf_counter() - t0)
 
     state = {"nodes": 0, "root_separated": False}
+    apply = None
 
-    def search(c1, c2):
+    def search(c1, c2, stab):
+        """`stab` is the pointwise stabilizer, within the known
+        automorphisms of D2, of the D2 vertices individualized so far;
+        None at the root, where the group is built on first branching."""
+        nonlocal apply
         refined = _refine(D1, D2, c1, c2)
         if refined is None:
             # only the root call runs before the first backtrack node
@@ -268,7 +323,15 @@ def iso_search(D1: Digraph, D2: Digraph,
                     key=lambda c: (len(classes1[c]), classes1[c][0]))
         v = classes1[color][0]
         fresh = max(max(c1), max(c2)) + 1
+        if stab is None:
+            group = _known_automorphisms(D2)
+            stab, apply = group if group is not None else ([], None)
+        # An automorphism g in stab preserves c2, so v -> w extends to an
+        # isomorphism iff v -> g(w) does: once w fails, its orbit is skipped.
+        tried = set()
         for w in classes2[color]:
+            if w in tried:
+                continue
             state["nodes"] += 1
             if state["nodes"] > budget:
                 raise UndecidedError(state["nodes"])
@@ -276,16 +339,17 @@ def iso_search(D1: Digraph, D2: Digraph,
             n2 = list(c2)
             n1[v] = fresh
             n2[w] = fresh
-            found = search(n1, n2)
+            found = search(n1, n2, [g for g in stab if apply(g, w) == w])
             if found is not None:
                 return found
+            tried.update(apply(g, w) for g in stab)
         return None
 
     init1, init2 = _initial_colors(D1, D2)
     if Counter(init1) != Counter(init2):
         return IsoCertificate("NonIso", witness="color-refinement",
                               seconds=time.perf_counter() - t0)
-    mapping = search(init1, init2)
+    mapping = search(init1, init2, None)
     elapsed = time.perf_counter() - t0
     if mapping is None:
         witness = ("color-refinement" if state["root_separated"]

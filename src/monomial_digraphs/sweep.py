@@ -30,7 +30,7 @@ class SweepReport:
     resolved_by_search: int = 0
     undecided: int = 0
     counterexamples: list = dc_field(default_factory=list)
-    wall_time: float = 0.0
+    wall_time: float = 0.0      # not in as_dict(), which is byte-stable
 
     def as_dict(self):
         return {
@@ -42,7 +42,6 @@ class SweepReport:
             "resolved_by_search": self.resolved_by_search,
             "undecided": self.undecided,
             "counterexamples": self.counterexamples,
-            "wall_time": self.wall_time,
         }
 
 

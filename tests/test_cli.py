@@ -80,8 +80,8 @@ def test_iso_rejects_out_of_range_exponent(capsys):
 
 
 def test_iso_budget_exhaustion(capsys):
-    code, _, err = run(capsys, "iso", "8", "1", "2", "1", "4",
-                       "--budget", "1")
+    code, _, err = run(capsys, "iso", "16", "3", "6", "3", "9",
+                       "--budget", "10")
     assert code == 2
     assert "undecided" in err
 
@@ -106,6 +106,16 @@ def test_sweep_json_stdout(capsys):
         doc = json.loads(line)
         assert doc["counterexamples"] == [] and doc["undecided"] == 0
     assert "total counterexamples: 0" in err
+
+
+def test_sweep_json_byte_stable(capsys):
+    code1, out1, err = run(capsys, "sweep", "--qmin", "2", "--qmax", "7",
+                           "--json", "-")
+    code2, out2, _ = run(capsys, "sweep", "--qmin", "2", "--qmax", "7",
+                         "--json", "-")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert "q=  7 time=" in err          # timings go to stderr
 
 
 def test_sweep_report_file_and_cache(capsys, tmp_path):

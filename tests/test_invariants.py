@@ -1,14 +1,18 @@
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from monomial_digraphs.field import field_for_order, gcd_bar
-from monomial_digraphs.digraph import Digraph, build_monomial, reverse
+from monomial_digraphs.digraph import (Digraph, build_monomial, reverse,
+                                       count_cycles_by_length)
 from monomial_digraphs.invariants import (gcd_profile, count_loops,
                                           two_cycle_count, two_cycle_formula,
                                           k22_formula, motif_census,
                                           trinomial_root_count,
                                           necessary_filter, profile)
+from monomial_digraphs import invariants
+from monomial_digraphs.iso import iso_search
 
 
 def build(q, m, n):
@@ -125,6 +129,21 @@ def test_profile_fig1():
     assert p.cycle_spectrum is None
     p2 = profile(build(3, 1, 2), cycle_cap=3)
     assert p2.cycle_spectrum == (3, 9, 4)
+
+
+def test_profile_is_computed_once_per_digraph(monkeypatch):
+    calls = []
+    loops = invariants.count_loops
+    monkeypatch.setattr(invariants, "count_loops",
+                        lambda D: calls.append(1) or loops(D))
+    D1, D2 = build(8, 1, 2), build(8, 1, 4)
+    p1 = profile(D1)
+    assert profile(D1) is p1
+    assert profile(D1, cycle_cap=2) == replace(
+        p1, cycle_spectrum=tuple(count_cycles_by_length(D1, 2)))
+    assert len(calls) == 1
+    iso_search(D1, D2)                  # profiles D2 only
+    assert len(calls) == 2
 
 
 def test_profiles_of_reverse_swap_bars():

@@ -3,7 +3,8 @@ from collections import Counter
 import pytest
 
 from monomial_digraphs.field import field_for_order, units_mod, poly_eval
-from monomial_digraphs.digraph import build_monomial, reverse
+from monomial_digraphs.digraph import (build_monomial, reverse, Digraph,
+                                       MonomialParams)
 from monomial_digraphs import iso
 from monomial_digraphs.iso import (explicit_iso, power_map, psi_automorphism,
                                    compose, identity_map, verify_mapping,
@@ -157,8 +158,80 @@ def test_iso_search_root_refinement_runs_once(monkeypatch):
 
 
 def test_iso_search_budget():
+    # 42 nodes with automorphism pruning
     with pytest.raises(UndecidedError):
-        iso_search(build(8, 1, 2), build(8, 1, 4), budget=1)
+        iso_search(build(16, 3, 6), build(16, 3, 9), budget=10)
+    # params-free copies are searched without pruning: 8 nodes
+    with pytest.raises(UndecidedError):
+        iso_search(Digraph(build(8, 1, 2).adj), Digraph(build(8, 1, 4).adj),
+                   budget=1)
+
+
+def _family_maps(D):
+    elements, apply = iso._known_automorphisms(D)
+    return [[apply(g, v) for v in range(D.n)] for g in elements]
+
+
+@pytest.mark.parametrize("q, pairs", [
+    (4, None), (5, None), (9, None),
+    (8, [(1, 2), (1, 3), (1, 4), (1, 5)]),   # the q = 8 reps that branch
+])
+def test_known_automorphisms_are_automorphisms(q, pairs):
+    F = field_for_order(q)
+    if pairs is None:
+        pairs = [(m, n) for m in range(1, q) for n in range(1, q)]
+    order = (q - 1) * F.e * (q if F.p == 2 else 1)
+    for m, n in pairs:
+        D = build(q, m, n)
+        maps = _family_maps(D)
+        assert maps[0] == identity_map(D.n)
+        assert len({tuple(f) for f in maps}) == order
+        for f in maps:
+            assert verify_mapping(D, D, f)
+
+
+def _pruned_and_unpruned(D1, D2):
+    pruned = iso_search(D1, D2)
+    unpruned = iso_search(Digraph(D1.adj), Digraph(D2.adj))
+    assert (pruned.verdict, pruned.mapping, pruned.witness) == \
+        (unpruned.verdict, unpruned.mapping, unpruned.witness)
+    assert pruned.nodes <= unpruned.nodes
+    return pruned, unpruned
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_pruned_search_matches_unpruned_within_classes(q):
+    for cls in conjugate_classes(q):
+        rep = build(q, *cls.canonical_rep)
+        for m, n in cls.members:
+            if (m, n) != cls.canonical_rep:
+                cert, _ = _pruned_and_unpruned(build(q, m, n), rep)
+                assert cert.verdict == "Iso"
+
+
+@pytest.mark.parametrize("q, a, b", [(8, (1, 2), (1, 4)),
+                                     (16, (1, 2), (1, 8)),
+                                     (16, (1, 7), (1, 13))])
+def test_pruned_search_matches_unpruned_across_classes(q, a, b):
+    pruned, unpruned = _pruned_and_unpruned(build(q, *a), build(q, *b))
+    assert pruned.witness == "search-exhausted"
+    assert pruned.nodes < unpruned.nodes
+
+
+def test_iso_search_decides_budgeted_q16_pair():
+    cert = iso_search(build(16, 3, 6), build(16, 3, 9), budget=100)
+    assert cert.verdict == "NonIso"
+    assert cert.witness == "search-exhausted"
+
+
+def test_mismatched_params_fall_back_to_unpruned_search():
+    D = build(8, 1, 2)
+    wrong = Digraph(D.adj, field=D.field, params=MonomialParams(8, 1, 4))
+    assert iso._known_automorphisms(wrong) is None
+    cert = iso_search(D, wrong)
+    assert cert.verdict == "Iso"
+    assert verify_mapping(D, wrong, list(cert.mapping))
+    assert cert.mapping == iso_search(Digraph(D.adj), Digraph(D.adj)).mapping
 
 
 def test_iso_search_rejects_mismatched_orders():
