@@ -154,7 +154,6 @@ def _cmd_sweep(args):
             fh.write(payload)
     if args.json != "-":
         for r in reports:
-            resolved = r.resolved_by_invariant + r.resolved_by_search
             frac = (r.resolved_by_invariant / r.cross_class_pairs
                     if r.cross_class_pairs else 1.0)
             print(f"q={r.q:3d} classes={r.class_count:3d} "

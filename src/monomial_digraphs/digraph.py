@@ -6,6 +6,7 @@ has out-degree and in-degree q.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .field import Field
@@ -55,19 +56,10 @@ class Digraph:
             self._radj = radj
         return self._radj
 
-    def arc_count(self):
-        return sum(len(nbrs) for nbrs in self.adj)
-
     def has_arc(self, u, v):
         nbrs = self.adj[u]
-        lo, hi = 0, len(nbrs)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if nbrs[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(nbrs) and nbrs[lo] == v
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def arcs(self):
         for u, nbrs in enumerate(self.adj):
@@ -105,12 +97,6 @@ class BipartiteCover:
 
     n: int                 # size of each class
     edges: tuple           # sorted (x, y) pairs, ids within each class
-
-    def degree_x(self, x):
-        return sum(1 for (u, _) in self.edges if u == x)
-
-    def degree_y(self, y):
-        return sum(1 for (_, v) in self.edges if v == y)
 
 
 def bipartite_cover(D: Digraph) -> BipartiteCover:
@@ -230,51 +216,27 @@ def count_cycles_by_length(D: Digraph, L: int,
     steps = 0
     in_path = [False] * D.n
     for root in range(D.n):
-        # DFS over simple paths root -> ... using only vertices >= root
-        path_len = 1
+        # DFS over simple paths root -> ... using only vertices >= root;
+        # the stack holds (vertex, iterator over its out-neighbors)
         in_path[root] = True
-        stack = [iter(D.adj[root])]
+        stack = [(root, iter(D.adj[root]))]
         while stack:
-            it = stack[-1]
-            advanced = False
-            for v in it:
+            for v in stack[-1][1]:
                 steps += 1
                 if steps > budget:
                     raise BudgetExceededError(
                         f"cycle enumeration exceeded {budget} steps")
                 if v == root:
-                    counts[path_len - 1] += 1
+                    counts[len(stack) - 1] += 1
                     continue
-                if v < root or in_path[v] or path_len >= L:
+                if v < root or in_path[v] or len(stack) >= L:
                     continue
                 in_path[v] = True
-                path_len += 1
-                stack.append(_FrameIter(D.adj[v], v))
-                advanced = True
+                stack.append((v, iter(D.adj[v])))
                 break
-            if not advanced:
-                frame = stack.pop()
-                if isinstance(frame, _FrameIter):
-                    in_path[frame.vertex] = False
-                    path_len -= 1
-        in_path[root] = False
+            else:
+                in_path[stack.pop()[0]] = False
     return counts
-
-
-class _FrameIter:
-    """Iterator over a neighbor list that remembers its owning vertex."""
-
-    __slots__ = ("vertex", "_it")
-
-    def __init__(self, nbrs, vertex):
-        self.vertex = vertex
-        self._it = iter(nbrs)
-
-    def __iter__(self):
-        return self._it
-
-    def __next__(self):
-        return next(self._it)
 
 
 def _vertex_label(vid: int, q: int):

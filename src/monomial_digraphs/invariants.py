@@ -14,10 +14,12 @@ from .digraph import Digraph, count_cycles_by_length, DEFAULT_CYCLE_BUDGET
 MOTIF_NAMES = ("K", "directed-K22")
 
 # InvariantProfile fields compared after the gcd filter, in witness order.
-# k22_motif_count is left out: k22_formula shows it is fixed by
-# (q, m_bar, n_bar), which the filter has already found equal.
-PRUNING_FIELDS = ("loop_total", "loop_distinct_nonzero_y",
-                  "two_cycle_count", "k_motif_count")
+# The other counts are functions of the gcd profile, which the filter has
+# already found equal, so they never separate a pair that passed it:
+# loop_total is q, loop_distinct_nonzero_y is q-1 for even q and
+# (q-1)/sum_bar for odd q, two_cycle_count depends on (q, diff_bar) only,
+# and k22_formula gives k22_motif_count from (q, m_bar, n_bar).
+PRUNING_FIELDS = ("k_motif_count",)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import combinations
 
 import pytest
@@ -10,7 +10,8 @@ from monomial_digraphs.invariants import (gcd_profile, count_loops,
                                           two_cycle_count, two_cycle_formula,
                                           k22_formula, motif_census,
                                           trinomial_root_count,
-                                          necessary_filter, profile)
+                                          necessary_filter, profile,
+                                          InvariantProfile, PRUNING_FIELDS)
 from monomial_digraphs import invariants
 from monomial_digraphs.iso import iso_search
 
@@ -93,6 +94,26 @@ def test_k22_formula_against_pair_scan():
                 assert (k22_formula(q, m, n)
                         == motif_census(Digraph(D.adj), "directed-K22")), \
                     (q, m, n)
+
+
+def test_fields_left_out_of_pruning_follow_the_gcd_profile():
+    # a field outside PRUNING_FIELDS is a function of the gcd profile, so
+    # it cannot separate a pair that the gcd filter has passed
+    rest = [f.name for f in fields(InvariantProfile)
+            if f.name not in PRUNING_FIELDS and f.name != "cycle_spectrum"]
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        F = field_for_order(q)
+        by_gcd, two_cycles = {}, {}
+        for m in range(1, q):
+            for n in range(1, q):
+                p = profile(build_monomial(F, m, n))
+                values = tuple(getattr(p, f) for f in rest)
+                assert by_gcd.setdefault(gcd_profile(q, m, n), values) \
+                    == values, (q, m, n)
+                ys = q - 1 if q % 2 == 0 else (q - 1) // p.sum_bar
+                assert (p.loop_total, p.loop_distinct_nonzero_y) == (q, ys)
+                assert two_cycles.setdefault(p.diff_bar, p.two_cycle_count) \
+                    == p.two_cycle_count, (q, m, n)
 
 
 def test_unknown_motif_rejected():

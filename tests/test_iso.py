@@ -67,6 +67,12 @@ def test_verify_mapping_examples():
     assert not verify_mapping(D, D, swapped)
     with pytest.raises(ValueError):
         verify_mapping(D, D, [0, 1, 2])
+    # vertex 2 is isolated, so its image is never looked up as an arc
+    # endpoint; -1 and 3 must still be rejected as out of range
+    E = Digraph([[1], [0], []])
+    assert verify_mapping(E, E, [1, 0, 2])
+    assert not verify_mapping(E, E, [0, 1, -1])
+    assert not verify_mapping(E, E, [0, 1, 3])
 
 
 def _classes_oracle(q):
