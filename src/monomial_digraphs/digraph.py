@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from .field import Field
 
 DEFAULT_CYCLE_BUDGET = 10 ** 8
+# build_monomial refuses larger digraphs: q <= 128
+MAX_VERTICES = 1 << 14
 
 
 class BudgetExceededError(Exception):
@@ -68,19 +70,27 @@ class Digraph:
 
 
 def build_monomial(field: Field, m: int, n: int) -> Digraph:
-    """Build D(q; m, n): arc (x1,x2)->(y1,y2) iff x2 + y2 = x1^m * y1^n."""
+    """Build D(q; m, n): arc (x1,x2)->(y1,y2) iff x2 + y2 = x1^m * y1^n.
+
+    Raises ValueError, before building anything, when q^2 exceeds
+    MAX_VERTICES.
+    """
     q = field.q
+    if q * q > MAX_VERTICES:
+        raise ValueError(f"q = {q} gives {q * q} vertices, more than the "
+                         f"implementation bound {MAX_VERTICES}")
     params = MonomialParams(q, m, n)
     xm = [field.pow(x, m) for x in range(q)]
     yn = [field.pow(y, n) for y in range(q)]
+    # diff[c][x2] = c - x2: the head's second coordinate y2 for every x2
+    diff = [[field.sub(c, x2) for x2 in range(q)] for c in range(q)]
     adj = []
-    for x1 in range(q):
-        for x2 in range(q):
-            row = []
-            for y1 in range(q):
-                y2 = field.sub(field.mul(xm[x1], yn[y1]), x2)
-                row.append(y1 * q + y2)
-            adj.append(row)
+    for a in xm:
+        # column y1 holds the heads (y1, c - x2) for x2 = 0..q-1, so the
+        # transposed columns are the rows of the vertices (x1, x2)
+        cols = [[y1 * q + y2 for y2 in diff[field.mul(a, b)]]
+                for y1, b in enumerate(yn)]
+        adj.extend(zip(*cols))
     return Digraph(adj, field=field, params=params)
 
 

@@ -172,19 +172,32 @@ def conjugate_classes(q: int):
 # -- color refinement and backtracking search --------------------------------
 
 def _edge_labels(D):
-    """Static arc labels: the four common-neighborhood sizes of each arc's
-    endpoints.  Any isomorphism preserves them, and they give the
-    refinement enough traction on these doubly regular digraphs."""
+    """Static arc labels, aligned with the adjacency lists: (out, in) with
+    out[u][i] the label of u -> adj[u][i] and in[v][i] that of
+    radj[v][i] -> v.
+
+    A label packs the four common-neighborhood sizes of the arc's
+    endpoints into one int, base n + 1, so distinct tuples get distinct
+    labels in the same order.  Any isomorphism preserves them, and they
+    give the refinement enough traction on these doubly regular digraphs.
+    """
     if getattr(D, "_iso_edge_labels", None) is None:
         outs = [set(a) for a in D.adj]
         ins = [set(a) for a in D.radj]
-        lab = {}
-        for u in range(D.n):
+        base = D.n + 1
+        out = []
+        inn = [[] for _ in range(D.n)]
+        # radj[v] lists tails in ascending order, as u runs here
+        for u, nbrs in enumerate(D.adj):
             ou, iu = outs[u], ins[u]
-            for v in D.adj[u]:
-                lab[(u, v)] = (len(ou & outs[v]), len(ou & ins[v]),
-                               len(iu & outs[v]), len(iu & ins[v]))
-        D._iso_edge_labels = lab
+            row = []
+            for v in nbrs:
+                lab = (((len(ou & outs[v]) * base + len(ou & ins[v])) * base
+                        + len(iu & outs[v])) * base + len(iu & ins[v]))
+                row.append(lab)
+                inn[v].append(lab)
+            out.append(row)
+        D._iso_edge_labels = out, inn
     return D._iso_edge_labels
 
 
@@ -203,14 +216,15 @@ def _refine(D1, D2, c1, c2):
         table = {}
         new1 = [0] * n
         new2 = [0] * n
-        for colors, new, D, lab in ((c1, new1, D1, lab1), (c2, new2, D2, lab2)):
-            radj = D.radj
+        for colors, new, D, (out, inn) in ((c1, new1, D1, lab1),
+                                           (c2, new2, D2, lab2)):
+            adj, radj = D.adj, D.radj
             for v in range(n):
                 sig = (colors[v],
-                       tuple(sorted((colors[w],) + lab[(v, w)]
-                                    for w in D.adj[v])),
-                       tuple(sorted((colors[w],) + lab[(w, v)]
-                                    for w in radj[v])))
+                       tuple(sorted(zip([colors[w] for w in adj[v]],
+                                        out[v]))),
+                       tuple(sorted(zip([colors[w] for w in radj[v]],
+                                        inn[v]))))
                 cid = table.get(sig)
                 if cid is None:
                     cid = len(table)

@@ -79,6 +79,16 @@ def test_iso_rejects_out_of_range_exponent(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [("build", "131", "1", "1"),
+                                  ("iso", "131", "1", "2", "1", "3")])
+def test_too_many_vertices_is_domain_error(capsys, argv):
+    # GF(131) exists, but D(131; m, n) has 17161 > MAX_VERTICES vertices
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_iso_budget_exhaustion(capsys):
     code, _, err = run(capsys, "iso", "16", "3", "6", "3", "9",
                        "--budget", "10")

@@ -50,6 +50,27 @@ def test_fig1_arc_set():
     assert sorted(D.arcs()) == fig1_arc_ids()
 
 
+def _arcs_by_rule(F, m, n):
+    """Every pair of vertices tested against x2 + y2 = x1^m * y1^n."""
+    q = F.q
+    return {(x1 * q + x2, y1 * q + y2)
+            for x1 in range(q) for x2 in range(q)
+            for y1 in range(q) for y2 in range(q)
+            if F.add(x2, y2) == F.mul(F.pow(x1, m), F.pow(y1, n))}
+
+
+@pytest.mark.parametrize("q, pairs", [
+    (4, None), (8, None), (9, None),           # e > 1: digit arithmetic
+    (5, [(1, 2), (3, 4)]), (7, [(1, 2), (3, 5)]), (16, [(1, 2), (3, 5)]),
+])
+def test_arc_set_against_rule(q, pairs):
+    F = field_for_order(q)
+    if pairs is None:
+        pairs = [(m, n) for m in range(1, q) for n in range(1, q)]
+    for m, n in pairs:
+        assert set(build_monomial(F, m, n).arcs()) == _arcs_by_rule(F, m, n)
+
+
 def test_fig1_spot_checks():
     D = build(3, 1, 2)
     # (1,0) -> (0,0) present

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -171,6 +173,81 @@ def test_iso_search_budget():
     with pytest.raises(UndecidedError):
         iso_search(Digraph(build(8, 1, 2).adj), Digraph(build(8, 1, 4).adj),
                    budget=1)
+
+
+def _edge_label_dict(D):
+    """The arc labels as a dict keyed by (u, v): four common-neighbourhood
+    sizes per arc, computed without packing."""
+    outs = [set(a) for a in D.adj]
+    ins = [set(a) for a in D.radj]
+    lab = {}
+    for u in range(D.n):
+        ou, iu = outs[u], ins[u]
+        for v in D.adj[u]:
+            lab[(u, v)] = (len(ou & outs[v]), len(ou & ins[v]),
+                           len(iu & outs[v]), len(iu & ins[v]))
+    return lab
+
+
+def _unpack(label, base):
+    digits = []
+    for _ in range(4):
+        label, d = divmod(label, base)
+        digits.append(d)
+    assert label == 0
+    return tuple(reversed(digits))
+
+
+@pytest.mark.parametrize("q, m, n", [(8, 1, 2), (9, 2, 5), (16, 3, 6)])
+def test_edge_labels_aligned_with_adjacency(q, m, n):
+    D = build(q, m, n)
+    oracle = _edge_label_dict(D)
+    out, inn = iso._edge_labels(D)
+    base = D.n + 1
+    assert [len(row) for row in out] == [len(row) for row in D.adj]
+    assert [len(row) for row in inn] == [len(row) for row in D.radj]
+    for u, nbrs in enumerate(D.adj):
+        for i, v in enumerate(nbrs):
+            assert _unpack(out[u][i], base) == oracle[(u, v)]
+    for v, tails in enumerate(D.radj):
+        for i, u in enumerate(tails):
+            assert _unpack(inn[v][i], base) == oracle[(u, v)]
+
+
+_NULL_SHA = "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"
+
+
+# (q, m1, n1, m2, n2) -> verdict, witness, nodes and the sha256 of the JSON
+# mapping, as `mdg iso --json` prints them.  The networkx oracle checks
+# verdicts only; these pins also catch a change to the refinement's colour
+# order or the search's branching order, which moves nodes and mappings.
+GOLDEN_CERTIFICATES = {
+    (16, 1, 2, 1, 8): ("NonIso", "search-exhausted", 1, _NULL_SHA),
+    (16, 1, 7, 1, 13): ("NonIso", "search-exhausted", 1, _NULL_SHA),
+    (16, 3, 6, 3, 9): ("NonIso", "search-exhausted", 42, _NULL_SHA),
+    (8, 1, 2, 1, 4): ("NonIso", "search-exhausted", 1, _NULL_SHA),
+    (11, 1, 3, 1, 7): ("NonIso", "color-refinement", 0, _NULL_SHA),
+    (17, 1, 4, 1, 12): ("NonIso", "k_motif_count", 0, _NULL_SHA),
+    (16, 1, 2, 2, 4): ("Iso", None, 5, "42a77da40cc2c5c9d1a2a993855e4936"
+                       "5598477db9ec1e5d95bfe740d55af63a"),
+    (16, 3, 6, 6, 12): ("Iso", None, 165, "15ca0e9d97ae153511f54f391ceea622"
+                        "cf07f5ab7598573e7c914a85129f1536"),
+    (8, 1, 2, 2, 4): ("Iso", None, 3, "f33bcf86883bada33423e819ee9a1c32"
+                      "2d898e3cb870de454ee6d8cd0f775f69"),
+    (9, 1, 2, 3, 6): ("Iso", None, 2, "cf5bcc3ecb5e54a18e5eda12d186d2bc"
+                      "5649d4113e9f2fcb0f01682f7c841f99"),
+    (13, 1, 2, 5, 10): ("Iso", None, 2, "474b2820b714ae932664371f03f8f697"
+                        "7add7a1474e04feb86b19cb23e55374a"),
+}
+
+
+@pytest.mark.parametrize("pair", list(GOLDEN_CERTIFICATES))
+def test_golden_certificates(pair):
+    q, m1, n1, m2, n2 = pair
+    doc = iso_search(build(q, m1, n1), build(q, m2, n2)).as_dict()
+    digest = hashlib.sha256(json.dumps(doc["mapping"]).encode()).hexdigest()
+    assert (doc["verdict"], doc["witness"], doc["nodes"], digest) == \
+        GOLDEN_CERTIFICATES[pair]
 
 
 def _family_maps(D):
