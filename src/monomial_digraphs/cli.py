@@ -146,7 +146,7 @@ def _cmd_sweep(args):
     finally:
         if cache is not None:
             cache.close()
-    payload = "\n".join(json.dumps(r.as_dict()) for r in reports) + "\n"
+    payload = "".join(json.dumps(r.as_dict()) + "\n" for r in reports)
     if args.json == "-":
         sys.stdout.write(payload)
     elif args.json:

@@ -151,6 +151,28 @@ def verify_mapping(D1: Digraph, D2: Digraph, mapping) -> bool:
                for nbrs, fu in zip(D1.adj, mapping))
 
 
+def verify_power_map(F: Field, mapping, source, target) -> bool:
+    """True iff mapping is (x, y) -> (a(x), y) for a permutation a of
+    GF(q) with a(x)^m2 = x^m1 and a(x)^n2 = x^n1, where source = (m1, n1)
+    and target = (m2, n2).
+
+    Then x2 + y2 = x1^m1 * y1^n1 exactly when
+    x2 + y2 = a(x1)^m2 * a(y1)^n2, so the map carries D(q; m1, n1) onto
+    D(q; m2, n2): the guarantee of verify_mapping on the built digraphs,
+    from q^2 compares and 4q powers.
+    """
+    q = F.q
+    if len(mapping) != q * q:
+        raise ValueError("mapping must cover all q^2 vertices")
+    (m1, n1), (m2, n2) = source, target
+    a = [mapping[x * q] // q for x in range(q)]
+    return (sorted(a) == list(range(q))
+            and list(mapping) == [ax * q + y for ax in a for y in range(q)]
+            and all(F.pow(ax, m2) == F.pow(x, m1)
+                    and F.pow(ax, n2) == F.pow(x, n1)
+                    for x, ax in enumerate(a)))
+
+
 def conjugate_classes(q: int):
     """Partition of [1, q-1]^2 into unit-multiplication orbits."""
     units = units_mod(q - 1)

@@ -2,9 +2,10 @@
 prime powers, with a result cache and machine-readable reports.
 
 Within each parameter class the explicit power-map isomorphism is built and
-re-verified; across classes only canonical representatives are compared
-(first by invariants, then by search), since within-class isomorphism lifts
-representative-level verdicts to all members.
+checked on the field (`verify_power_map`), so no class member is built as a
+digraph; across classes only canonical representatives are built and
+compared (first by invariants, then by search), since within-class
+isomorphism lifts representative-level verdicts to all members.
 """
 
 import json
@@ -13,11 +14,13 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .field import make_field, factor_prime_power
-from .digraph import build_monomial
+from .digraph import build_monomial, MAX_VERTICES
 from . import invariants
-from .iso import (explicit_iso, power_map, verify_mapping, conjugate_classes,
-                  iso_search, ParameterClass, UndecidedError,
-                  DEFAULT_SEARCH_BUDGET)
+from .iso import (explicit_iso, power_map, verify_power_map,
+                  conjugate_classes, iso_search, ParameterClass,
+                  UndecidedError, DEFAULT_SEARCH_BUDGET)
+# unused here, but perfbench/spans.install patches sweep.verify_mapping
+from .iso import verify_mapping  # noqa: F401
 
 
 @dataclass
@@ -144,6 +147,11 @@ def _m1_classes(q):
 def sweep_one(q, *, m1_only=False, cache=None,
               budget=DEFAULT_SEARCH_BUDGET, iso_sink=None) -> SweepReport:
     t0 = time.perf_counter()
+    # the within-class phase builds no digraph, so the bound is checked
+    # here, before it makes q^2-sized power maps
+    if q * q > MAX_VERTICES:
+        raise ValueError(f"q = {q} gives {q * q} vertices, more than the "
+                         f"implementation bound {MAX_VERTICES}")
     report = SweepReport(q=q)
     F = make_field(*factor_prime_power(q))
     classes = _m1_classes(q) if m1_only else conjugate_classes(q)
@@ -165,7 +173,7 @@ def sweep_one(q, *, m1_only=False, cache=None,
             k = explicit_iso(q, rm, rn, m, n)
             assert k is not None, "class member without explicit isomorphism"
             mapping = power_map(F, k)
-            ok = verify_mapping(D(m, n), D(rm, rn), mapping)
+            ok = verify_power_map(F, mapping, (m, n), (rm, rn))
             assert ok, f"explicit map failed verification for q={q} " \
                        f"({m},{n}) -> ({rm},{rn})"
             report.within_class_checks += 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -80,7 +81,8 @@ def test_iso_rejects_out_of_range_exponent(capsys):
 
 
 @pytest.mark.parametrize("argv", [("build", "131", "1", "1"),
-                                  ("iso", "131", "1", "2", "1", "3")])
+                                  ("iso", "131", "1", "2", "1", "3"),
+                                  ("sweep", "--qmin", "131", "--qmax", "131")])
 def test_too_many_vertices_is_domain_error(capsys, argv):
     # GF(131) exists, but D(131; m, n) has 17161 > MAX_VERTICES vertices
     code, out, err = run(capsys, *argv)
@@ -126,6 +128,21 @@ def test_sweep_json_byte_stable(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "q=  7 time=" in err          # timings go to stderr
+
+
+def test_sweep_report_pinned(capsys):
+    code, out, _ = run(capsys, "sweep", "--qmin", "2", "--qmax", "16",
+                       "--json", "-")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "2ff02648289a0d1f18bb328996e655985264598692c9784f28dbde15ac8c9a66"
+
+
+def test_sweep_empty_range_writes_no_line(capsys):
+    # 10 is not a prime power, so there is no report to write
+    code, out, _ = run(capsys, "sweep", "--qmin", "10", "--qmax", "10",
+                       "--json", "-")
+    assert (code, out) == (0, "")
 
 
 def test_sweep_report_file_and_cache(capsys, tmp_path):

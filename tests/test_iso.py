@@ -10,6 +10,7 @@ from monomial_digraphs.digraph import (build_monomial, reverse, Digraph,
 from monomial_digraphs import iso
 from monomial_digraphs.iso import (explicit_iso, power_map, psi_automorphism,
                                    compose, identity_map, verify_mapping,
+                                   verify_power_map,
                                    conjugate_classes, stable_coloring,
                                    iso_search, extract_g, UndecidedError,
                                    FirstCoordinateDependenceError)
@@ -75,6 +76,61 @@ def test_verify_mapping_examples():
     assert verify_mapping(E, E, [1, 0, 2])
     assert not verify_mapping(E, E, [0, 1, -1])
     assert not verify_mapping(E, E, [0, 1, 3])
+
+
+def _corrupted_power_maps(F, mapping, m, n):
+    """Three corruptions of the power map (x, y) -> (a(x), y)."""
+    q = F.q
+    rows = [mapping[x * q:(x + 1) * q] for x in range(q)]
+    powers = [(F.pow(x, m), F.pow(x, n)) for x in range(q)]
+    # a(x1) and a(x2) swapped, where x1^m != x2^m
+    x1, x2 = [(x, z) for x in range(q) for z in range(x + 1, q)
+              if powers[x][0] != powers[z][0]][-1]
+    swapped = list(rows)
+    swapped[x1], swapped[x2] = rows[x2], rows[x1]
+    # the images of (q-1, 0) and (q-1, q-1) swapped: no longer a product map
+    broken = list(mapping)
+    u, v = (q - 1) * q, q * q - 1
+    broken[u], broken[v] = mapping[v], mapping[u]
+    # row x1 repeated as row x2: a product map whose a is no permutation;
+    # when x1 and x2 share both powers only that can reject it
+    same = [(x, z) for x in range(q) for z in range(x + 1, q)
+            if powers[x] == powers[z]]
+    x1, x2 = same[0] if same else (0, 1)
+    repeated = list(rows)
+    repeated[x2] = rows[x1]
+    return [sum(swapped, []), broken, sum(repeated, [])]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_verify_power_map_agrees_with_verify_mapping(q):
+    F = field_for_order(q)
+    built = {}
+
+    def D(m, n):
+        if (m, n) not in built:
+            built[(m, n)] = build_monomial(F, m, n)
+        return built[(m, n)]
+
+    units = units_mod(q - 1)
+    for cls in conjugate_classes(q):
+        rep = cls.canonical_rep
+        for member in cls.members:
+            if member == rep:
+                continue
+            mapping = power_map(F, explicit_iso(q, *rep, *member))
+            assert verify_power_map(F, mapping, member, rep)
+            assert verify_mapping(D(*member), D(*rep), mapping)
+            for bad in _corrupted_power_maps(F, mapping, *member):
+                assert not verify_power_map(F, bad, member, rep)
+                assert not verify_mapping(D(*member), D(*rep), bad)
+            # a field-level accept of any power map implies an arc-level one
+            for k in units:
+                other = power_map(F, k)
+                if verify_power_map(F, other, member, rep):
+                    assert verify_mapping(D(*member), D(*rep), other)
+    with pytest.raises(ValueError):
+        verify_power_map(F, list(range(q * q - 1)), (1, 1), (1, 1))
 
 
 def _classes_oracle(q):
