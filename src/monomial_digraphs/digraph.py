@@ -51,11 +51,7 @@ class Digraph:
     def radj(self):
         """In-neighbor lists, built on first use."""
         if self._radj is None:
-            radj = [[] for _ in range(self.n)]
-            for u, nbrs in enumerate(self.adj):
-                for v in nbrs:
-                    radj[v].append(u)
-            self._radj = radj
+            self._radj = transpose(self.adj)
         return self._radj
 
     def has_arc(self, u, v):
@@ -67,6 +63,16 @@ class Digraph:
         for u, nbrs in enumerate(self.adj):
             for v in nbrs:
                 yield u, v
+
+
+def transpose(adj):
+    """In-neighbor lists of the out-neighbor lists adj; each in ascending
+    order of tail."""
+    radj = [[] for _ in adj]
+    for u, nbrs in enumerate(adj):
+        for v in nbrs:
+            radj[v].append(u)
+    return radj
 
 
 def build_monomial(field: Field, m: int, n: int) -> Digraph:

@@ -9,7 +9,7 @@ from itertools import combinations
 from math import comb
 
 from .field import Field, gcd_bar
-from .digraph import Digraph, count_cycles_by_length, DEFAULT_CYCLE_BUDGET
+from .digraph import Digraph, count_cycles_by_length, transpose
 
 MOTIF_NAMES = ("K", "directed-K22")
 
@@ -50,36 +50,43 @@ def gcd_profile(q: int, m: int, n: int):
             gcd_bar(m + n, q), gcd_bar(m - n, q))
 
 
+def vertex_seeds(D: Digraph):
+    """Per-vertex (v -> v is an arc, number of w != v with v -> w -> v).
+
+    Both are preserved by any isomorphism.  The table is computed once per
+    digraph and kept on it; the loop and 2-cycle counts, the K census and
+    the initial colours of the isomorphism search read it."""
+    seeds = getattr(D, "_vertex_seeds", None)
+    if seeds is None:
+        # the in-rows are dropped, not kept as D.radj, and equal seeds share
+        # one tuple: a sweep holds every digraph it profiles, and most are
+        # never searched
+        seeds, keys = [], {}
+        for v, (out, inn) in enumerate(zip(D.adj, transpose(D.adj))):
+            mutual = set(out).intersection(inn)
+            loop = v in mutual
+            key = (loop, len(mutual) - loop)
+            seeds.append(keys.setdefault(key, key))
+        D._vertex_seeds = seeds
+    return seeds
+
+
 def count_loops(D: Digraph):
     """(total, number of distinct nonzero second coordinates of looped
     vertices).  For odd q the latter equals (q-1)/gcd_bar(m+n, q)."""
-    q = D.field.q if D.field is not None else None
-    total = 0
-    ys = set()
-    for v in range(D.n):
-        if D.has_arc(v, v):
-            total += 1
-            if q is not None:
-                y = v % q
-                if y != 0:
-                    ys.add(y)
-    return total, len(ys)
+    looped = [v for v, (loop, _) in enumerate(vertex_seeds(D)) if loop]
+    ys = ({v % D.field.q for v in looped} - {0}
+          if D.field is not None else ())
+    return len(looped), len(ys)
 
 
 def two_cycle_count(D: Digraph) -> int:
     """Unordered pairs of distinct mutually adjacent vertices."""
-    count = 0
-    for u in range(D.n):
-        for v in D.adj[u]:
-            if v > u and D.has_arc(v, u):
-                count += 1
-    return count
+    return sum(c for _, c in vertex_seeds(D)) // 2
 
 
 def two_cycle_formula(q: int, m: int, n: int) -> int:
-    """q(q-1)(2 + gcd_bar(m-n)) / 2; valid for odd q only."""
-    if q % 2 == 0:
-        raise ValueError("the 2-cycle formula requires odd q")
+    """q(q-1)(2 + gcd_bar(m-n)) / 2, the value of two_cycle_count."""
     return q * (q - 1) * (2 + gcd_bar(m - n, q)) // 2
 
 
@@ -110,13 +117,9 @@ def motif_census(D: Digraph, name: str) -> int:
     brute-force twin and serves digraphs without params.
     """
     if name == "K":
-        looped = [v for v in range(D.n) if D.has_arc(v, v)]
-        count = 0
-        for a in looped:
-            for b in looped:
-                if a != b and D.has_arc(a, b):
-                    count += 1
-        return count
+        # each looped a is its own out-neighbour: subtract that one
+        looped = {v for v, (loop, _) in enumerate(vertex_seeds(D)) if loop}
+        return sum(len(looped.intersection(D.adj[a])) - 1 for a in looped)
     if name == "directed-K22":
         if D.params is not None:
             return k22_formula(D.params.q, D.params.m, D.params.n)
@@ -188,8 +191,7 @@ def _unpack(params):
     return q, m, n
 
 
-def profile(D: Digraph, cycle_cap: int | None = None,
-            cycle_budget: int = DEFAULT_CYCLE_BUDGET) -> InvariantProfile:
+def profile(D: Digraph, cycle_cap: int | None = None) -> InvariantProfile:
     """Full invariant profile of a monomial digraph.
 
     The profile without cycle spectrum is computed once per digraph and
@@ -211,5 +213,5 @@ def profile(D: Digraph, cycle_cap: int | None = None,
         D._profile = base
     if cycle_cap is None:
         return base
-    spectrum = tuple(count_cycles_by_length(D, cycle_cap, cycle_budget))
+    spectrum = tuple(count_cycles_by_length(D, cycle_cap))
     return replace(base, cycle_spectrum=spectrum)

@@ -6,6 +6,7 @@ that returns checkable certificates.
 """
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .field import Field, units_mod, lagrange_interpolate
@@ -252,12 +253,7 @@ def _refine(D1, D2, c1, c2):
                     cid = len(table)
                     table[sig] = cid
                 new[v] = cid
-        hist1 = {}
-        hist2 = {}
-        for v in range(n):
-            hist1[new1[v]] = hist1.get(new1[v], 0) + 1
-            hist2[new2[v]] = hist2.get(new2[v], 0) + 1
-        if hist1 != hist2:
+        if Counter(new1) != Counter(new2):
             return None
         if len(table) == ncolors:
             return new1, new2
@@ -266,23 +262,11 @@ def _refine(D1, D2, c1, c2):
 
 
 def _initial_colors(D1, D2):
-    """Seed colors from per-vertex isomorphism invariants.
-
-    Plain refinement cannot split these in- and out-regular digraphs from a
-    uniform start, so seed with loop membership and 2-cycle degree; both are
-    preserved by any isomorphism.
-    """
+    """Seed colors from invariants.vertex_seeds, which refinement from a
+    uniform start cannot recover on these in- and out-regular digraphs."""
     table = {}
-
-    def colors(D):
-        out = []
-        for v in range(D.n):
-            key = (D.has_arc(v, v),
-                   sum(1 for w in D.adj[v] if w != v and D.has_arc(w, v)))
-            out.append(table.setdefault(key, len(table)))
-        return out
-
-    return colors(D1), colors(D2)
+    return tuple([table.setdefault(key, len(table))
+                  for key in invariants.vertex_seeds(D)] for D in (D1, D2))
 
 
 def stable_coloring(D: Digraph):
@@ -309,9 +293,12 @@ def iso_search(D1: Digraph, D2: Digraph,
     digraph, the search skips a candidate that a known automorphism of D2
     (see _known_automorphisms) maps onto one that already failed; this
     saves nodes and changes no verdict or mapping.  Exceeding `budget`
-    backtrack nodes raises UndecidedError (never reported as NonIso).
+    backtrack nodes raises UndecidedError (never reported as NonIso); a
+    negative budget raises ValueError.
     """
     t0 = time.perf_counter()
+    if budget < 0:
+        raise ValueError(f"search budget must be >= 0, got {budget}")
     if D1.n != D2.n:
         raise ValueError("digraphs must have equal vertex counts")
 

@@ -232,8 +232,11 @@ def sweep(q_min, q_max, *, m1_only=False, cache=None,
     """Run the conjecture-verification campaign over [q_min, q_max].
 
     With m1_only the sweep restricts to odd prime powers and to parameter
-    pairs with m = 1 (every class is then a single pair).
+    pairs with m = 1 (every class is then a single pair).  A negative
+    budget raises ValueError before any work, even for an empty range.
     """
+    if budget < 0:
+        raise ValueError(f"search budget must be >= 0, got {budget}")
     reports = []
     for q in prime_powers(q_min, q_max):
         if m1_only and q % 2 == 0:

@@ -98,6 +98,20 @@ def test_iso_budget_exhaustion(capsys):
     assert "undecided" in err
 
 
+@pytest.mark.parametrize("argv, code_at_0", [
+    (("iso", "8", "1", "2", "1", "4"), 2),
+    (("sweep", "--qmin", "8", "--qmax", "8"), 2),
+    # no pair reaches the search here, and the budget is still checked
+    (("sweep", "--qmin", "2", "--qmax", "7"), 0),
+])
+def test_negative_budget_is_domain_error(capsys, argv, code_at_0):
+    code, out, err = run(capsys, *argv, "--budget", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    # budget 0 is valid: a pair that needs a backtrack node is undecided
+    assert run(capsys, *argv, "--budget", "0")[0] == code_at_0
+
+
 def test_iso_json_byte_stable(capsys):
     _, out1, _ = run(capsys, "iso", "17", "1", "4", "1", "12", "--json")
     _, out2, _ = run(capsys, "iso", "17", "1", "4", "1", "12", "--json")

@@ -7,6 +7,7 @@ from monomial_digraphs.field import field_for_order, gcd_bar
 from monomial_digraphs.digraph import (Digraph, build_monomial, reverse,
                                        count_cycles_by_length)
 from monomial_digraphs.invariants import (gcd_profile, count_loops,
+                                          vertex_seeds,
                                           two_cycle_count, two_cycle_formula,
                                           k22_formula, motif_census,
                                           trinomial_root_count,
@@ -42,14 +43,37 @@ def test_two_cycle_count_and_formula():
     assert two_cycle_formula(3, 1, 2) == 9
     assert two_cycle_formula(5, 2, 2) == 60
     assert two_cycle_count(build(5, 2, 2)) == 60
-    with pytest.raises(ValueError):
-        two_cycle_formula(8, 1, 2)
+    # the closed form holds in characteristic 2 as well
+    for q in (2, 4, 8, 16):
+        F = field_for_order(q)
+        for m in range(1, q):
+            for n in range(1, q):
+                assert two_cycle_formula(q, m, n) == \
+                    two_cycle_count(build_monomial(F, m, n)), (q, m, n)
 
 
 def test_two_cycle_reversal_invariant():
     for q, m, n in ((5, 1, 3), (7, 2, 5), (8, 1, 4)):
         D = build(q, m, n)
         assert two_cycle_count(D) == two_cycle_count(reverse(D))
+
+
+def _seed_oracle(D):
+    """Loop membership and 2-cycle degree of each vertex, by bisecting the
+    adjacency rows one arc at a time."""
+    return [(D.has_arc(v, v),
+             sum(1 for w in D.adj[v] if w != v and D.has_arc(w, v)))
+            for v in range(D.n)]
+
+
+def test_vertex_seeds_against_arc_tests():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = field_for_order(q)
+        for m in range(1, q):
+            for n in range(1, q):
+                D = build_monomial(F, m, n)
+                assert vertex_seeds(D) == _seed_oracle(D), (q, m, n)
+                assert vertex_seeds(D) is vertex_seeds(D)
 
 
 def test_k_census_of_fig1():

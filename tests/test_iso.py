@@ -231,6 +231,30 @@ def test_iso_search_budget():
                    budget=1)
 
 
+def test_iso_search_rejects_negative_budget():
+    # an input error, raised before any work; budget 0 still lets the
+    # root refinement decide
+    with pytest.raises(ValueError):
+        iso_search(build(11, 1, 3), build(11, 1, 7), budget=-1)
+    assert iso_search(build(11, 1, 3), build(11, 1, 7),
+                      budget=0).witness == "color-refinement"
+
+
+def test_iso_search_reads_vertex_seeds_not_arcs(monkeypatch):
+    # the profile and the initial colours read invariants.vertex_seeds,
+    # so no per-arc scan with has_arc is left on this path
+    calls = Counter()
+    has_arc = Digraph.has_arc
+    monkeypatch.setattr(Digraph, "has_arc",
+                        lambda D, u, v: calls.update([id(D)]) or
+                        has_arc(D, u, v))
+    q = 11
+    D1, D2 = build(q, 1, 3), build(q, 1, 7)
+    assert iso_search(D1, D2).witness == "color-refinement"
+    assert set(calls) <= {id(D1), id(D2)}
+    assert all(count <= 2 * q * q for count in calls.values()), calls
+
+
 def _edge_label_dict(D):
     """The arc labels as a dict keyed by (u, v): four common-neighbourhood
     sizes per arc, computed without packing."""
@@ -386,6 +410,14 @@ def test_stable_coloring_multisets_agree_on_isomorphic_pairs(q):
         for m, n in cls.members:
             other = Counter(Counter(stable_coloring(build(q, m, n))).values())
             assert other == base
+
+
+def test_vertex_seeds_split_what_refinement_alone_cannot():
+    # refinement from one colour stops at 6 colours on these digraphs
+    for m, n in ((4, 8), (8, 4)):
+        D = build(9, m, n)
+        assert len(set(iso._refine(D, D, [0] * D.n, [0] * D.n)[0])) == 6
+        assert len(set(stable_coloring(D))) == 7
 
 
 def test_extract_g_of_power_map():
