@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 domain error (bad parameters), 2 undecided
-(budget exhausted), 3 I/O error.  --json output is byte-stable for
-identical invocations; timings and diagnostics go to stderr.
+(search budget or recursion depth exhausted), 3 I/O error.  --json output
+is byte-stable for identical invocations; timings and diagnostics go to
+stderr.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from .digraph import (build_monomial, export, count_cycles_by_length,
                       BudgetExceededError)
 from . import invariants
 from .iso import iso_search, UndecidedError, DEFAULT_SEARCH_BUDGET
-from .sweep import ProfileCache, sweep as run_sweep
+from .sweep import ProfileCache, sweep as run_sweep, _sweep_qs
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -138,6 +139,8 @@ def _cmd_iso(args):
 
 
 def _cmd_sweep(args):
+    # before the cache is opened, which creates or repairs its file
+    _sweep_qs(args.qmin, args.qmax, args.m1_only, args.budget)
     cache = ProfileCache(args.cache) if args.cache else None
     try:
         reports = run_sweep(args.qmin, args.qmax,

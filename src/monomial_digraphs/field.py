@@ -263,46 +263,23 @@ def poly_eval(F: Field, coeffs, x: int) -> int:
     return acc
 
 
-def poly_mul(F: Field, a, b):
-    if not a or not b:
-        return []
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = F.add(res[i + j], F.mul(ai, bj))
-    return res
-
-
-def poly_add(F: Field, a, b):
-    n = max(len(a), len(b))
-    return [F.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-            for i in range(n)]
-
-
-def poly_scale(F: Field, a, c):
-    return [F.mul(x, c) for x in a]
-
-
 def lagrange_interpolate(F: Field, points) -> list:
     """Coefficients (low-first, length q) of the unique polynomial of degree
-    < q through the given (x, y) points; points must have distinct x."""
-    xs = [x for x, _ in points]
-    # full product prod (Y - x_j)
-    full = [1]
-    for x in xs:
-        full = poly_mul(F, full, [F.neg(x), 1])
-    coeffs = [0] * len(points)
-    for xi, yi in points:
-        # basis_i = full / (Y - xi), by synthetic division
-        basis = [0] * (len(full) - 1)
-        carry = 0
-        for k in range(len(full) - 1, 0, -1):
-            carry = F.add(full[k], F.mul(carry, xi))
-            basis[k - 1] = carry
-        denom = poly_eval(F, basis, xi)
-        scale = F.mul(yi, F.inv(denom))
-        coeffs = poly_add(F, coeffs, poly_scale(F, basis, scale))
-    if len(coeffs) < len(points):
-        coeffs += [0] * (len(points) - len(coeffs))
+    < q through the points (x, f(x)), which must cover GF(q) once each.
+
+    Since sum_a a^k over GF(q) is -1 when k is a positive multiple of q-1
+    and 0 otherwise, c_0 = f(0) and c_i = -sum_a f(a) * a^(q-1-i) for
+    1 <= i <= q-1, taking 0^0 = 1.
+    """
+    q = F.q
+    if sorted(x for x, _ in points) != list(range(q)):
+        raise ValueError(f"interpolation needs each of the {q} elements of "
+                         f"GF({q}) once as an x coordinate")
+    f = dict(points)
+    coeffs = [f[0]]
+    for i in range(1, q):
+        acc = f[0] if i == q - 1 else 0
+        for a in range(1, q):
+            acc = F.add(acc, F.mul(f[a], F.pow(a, q - 1 - i)))
+        coeffs.append(F.neg(acc))
     return coeffs

@@ -17,10 +17,12 @@ DEFAULT_SEARCH_BUDGET = 10 ** 9
 
 
 class UndecidedError(Exception):
-    """The search budget ran out before a verdict was reached."""
+    """The search stopped before a verdict: its node budget ran out, or it
+    nested deeper than the interpreter's recursion limit."""
 
     def __init__(self, nodes):
-        super().__init__(f"search budget exhausted after {nodes} nodes")
+        super().__init__(f"no verdict after {nodes} search nodes "
+                         f"(budget or recursion depth exhausted)")
         self.nodes = nodes
 
 
@@ -261,18 +263,10 @@ def _refine(D1, D2, c1, c2):
         c1, c2 = new1, new2
 
 
-def _initial_colors(D1, D2):
-    """Seed colors from invariants.vertex_seeds, which refinement from a
-    uniform start cannot recover on these in- and out-regular digraphs."""
-    table = {}
-    return tuple([table.setdefault(key, len(table))
-                  for key in invariants.vertex_seeds(D)] for D in (D1, D2))
-
-
 def stable_coloring(D: Digraph):
     """Stable color-refinement coloring of a single digraph."""
-    c, _ = _initial_colors(D, D)
-    res = _refine(D, D, c, list(c))
+    seeds = invariants.vertex_seeds(D)
+    res = _refine(D, D, seeds, seeds)
     assert res is not None
     return res[0]
 
@@ -288,13 +282,15 @@ def iso_search(D1: Digraph, D2: Digraph,
                budget: int = DEFAULT_SEARCH_BUDGET) -> IsoCertificate:
     """Decide isomorphism with a verifiable certificate.
 
-    Invariant filters first, then color refinement, then complete
+    Invariant filters first, then color refinement of the root from the
+    invariants.vertex_seeds entries, then complete
     individualization-refinement backtracking.  When D2 is a monomial
     digraph, the search skips a candidate that a known automorphism of D2
     (see _known_automorphisms) maps onto one that already failed; this
     saves nodes and changes no verdict or mapping.  Exceeding `budget`
-    backtrack nodes raises UndecidedError (never reported as NonIso); a
-    negative budget raises ValueError.
+    backtrack nodes, or a search deeper than the interpreter's recursion
+    limit, raises UndecidedError (never reported as NonIso); a negative
+    budget raises ValueError.
     """
     t0 = time.perf_counter()
     if budget < 0:
@@ -314,67 +310,66 @@ def iso_search(D1: Digraph, D2: Digraph,
                 return IsoCertificate("NonIso", witness=name,
                                       seconds=time.perf_counter() - t0)
 
-    state = {"nodes": 0, "root_separated": False}
-    apply = None
+    root = _refine(D1, D2, invariants.vertex_seeds(D1),
+                   invariants.vertex_seeds(D2))
+    if root is None:
+        return IsoCertificate("NonIso", witness="color-refinement",
+                              seconds=time.perf_counter() - t0)
+    nodes = 0
 
     def search(c1, c2, stab):
-        """`stab` is the pointwise stabilizer, within the known
-        automorphisms of D2, of the D2 vertices individualized so far;
-        None at the root, where the group is built on first branching."""
-        nonlocal apply
-        refined = _refine(D1, D2, c1, c2)
-        if refined is None:
-            # only the root call runs before the first backtrack node
-            state["root_separated"] = state["nodes"] == 0
-            return None
-        c1, c2 = refined
+        """Extend the refined, unseparated colorings (c1, c2) to an
+        isomorphism.  `stab` is the pointwise stabilizer, within the known
+        automorphisms of D2, of the D2 vertices individualized so far."""
+        nonlocal nodes
         classes1 = _classes_by_color(c1)
-        if all(len(vs) == 1 for vs in classes1.values()):
-            classes2 = _classes_by_color(c2)
-            mapping = [0] * D1.n
-            for color, (v,) in classes1.items():
-                mapping[v] = classes2[color][0]
-            if verify_mapping(D1, D2, mapping):
-                return mapping
-            return None
         classes2 = _classes_by_color(c2)
+        if len(classes1) == D1.n:
+            mapping = [classes2[c][0] for c in c1]
+            return mapping if verify_mapping(D1, D2, mapping) else None
         # smallest non-singleton class; ties broken by smallest member id
         color = min((c for c, vs in classes1.items() if len(vs) > 1),
                     key=lambda c: (len(classes1[c]), classes1[c][0]))
         v = classes1[color][0]
-        fresh = max(max(c1), max(c2)) + 1
-        if stab is None:
-            group = _known_automorphisms(D2)
-            stab, apply = group if group is not None else ([], None)
+        fresh = len(classes1)       # refined colours are 0 .. fresh - 1
         # An automorphism g in stab preserves c2, so v -> w extends to an
         # isomorphism iff v -> g(w) does: once w fails, its orbit is skipped.
         tried = set()
         for w in classes2[color]:
             if w in tried:
                 continue
-            state["nodes"] += 1
-            if state["nodes"] > budget:
-                raise UndecidedError(state["nodes"])
+            nodes += 1
+            if nodes > budget:
+                raise UndecidedError(nodes)
             n1 = list(c1)
             n2 = list(c2)
             n1[v] = fresh
             n2[w] = fresh
-            found = search(n1, n2, [g for g in stab if apply(g, w) == w])
-            if found is not None:
-                return found
+            refined = _refine(D1, D2, n1, n2)
+            if refined is not None:
+                found = search(*refined,
+                               [g for g in stab if apply(g, w) == w])
+                if found is not None:
+                    return found
             tried.update(apply(g, w) for g in stab)
         return None
 
-    mapping = search(*_initial_colors(D1, D2), None)
+    # built once, and only when the search will branch
+    group = _known_automorphisms(D2) if len(set(root[0])) < D1.n else None
+    stab, apply = group or ([], None)
+    try:
+        mapping = search(*root, stab)
+    except RecursionError:
+        # one level per individualized vertex: refinement left a large
+        # class that it cannot split
+        raise UndecidedError(nodes) from None
     elapsed = time.perf_counter() - t0
     if mapping is None:
-        witness = ("color-refinement" if state["root_separated"]
-                   else "search-exhausted")
-        return IsoCertificate("NonIso", witness=witness,
-                              nodes=state["nodes"], seconds=elapsed)
+        return IsoCertificate("NonIso", witness="search-exhausted",
+                              nodes=nodes, seconds=elapsed)
     assert verify_mapping(D1, D2, mapping)
     return IsoCertificate("Iso", mapping=tuple(mapping),
-                          nodes=state["nodes"], seconds=elapsed)
+                          nodes=nodes, seconds=elapsed)
 
 
 # -- structural analysis of discovered isomorphisms --------------------------

@@ -144,14 +144,18 @@ def _m1_classes(q):
             for n in range(1, q)]
 
 
+def _check_order(q):
+    if q * q > MAX_VERTICES:
+        raise ValueError(f"q = {q} gives {q * q} vertices, more than the "
+                         f"implementation bound {MAX_VERTICES}")
+
+
 def sweep_one(q, *, m1_only=False, cache=None,
               budget=DEFAULT_SEARCH_BUDGET, iso_sink=None) -> SweepReport:
     t0 = time.perf_counter()
     # the within-class phase builds no digraph, so the bound is checked
     # here, before it makes q^2-sized power maps
-    if q * q > MAX_VERTICES:
-        raise ValueError(f"q = {q} gives {q * q} vertices, more than the "
-                         f"implementation bound {MAX_VERTICES}")
+    _check_order(q)
     report = SweepReport(q=q)
     F = make_field(*factor_prime_power(q))
     classes = _m1_classes(q) if m1_only else conjugate_classes(q)
@@ -227,20 +231,29 @@ def sweep_one(q, *, m1_only=False, cache=None,
     return report
 
 
+def _sweep_qs(q_min, q_max, m1_only, budget):
+    """The q values that sweep() runs, after the checks of its arguments
+    that it makes before any work."""
+    if budget < 0:
+        raise ValueError(f"search budget must be >= 0, got {budget}")
+    if q_min > q_max:
+        raise ValueError(f"qmin = {q_min} exceeds qmax = {q_max}")
+    qs = [q for q in prime_powers(q_min, q_max)
+          if not (m1_only and q % 2 == 0)]
+    for q in qs:
+        _check_order(q)
+    return qs
+
+
 def sweep(q_min, q_max, *, m1_only=False, cache=None,
           budget=DEFAULT_SEARCH_BUDGET, iso_sink=None):
     """Run the conjecture-verification campaign over [q_min, q_max].
 
     With m1_only the sweep restricts to odd prime powers and to parameter
     pairs with m = 1 (every class is then a single pair).  A negative
-    budget raises ValueError before any work, even for an empty range.
+    budget, q_min > q_max or a q past the vertex bound raises ValueError
+    before any work; a range with no such q is valid and gives no report.
     """
-    if budget < 0:
-        raise ValueError(f"search budget must be >= 0, got {budget}")
-    reports = []
-    for q in prime_powers(q_min, q_max):
-        if m1_only and q % 2 == 0:
-            continue
-        reports.append(sweep_one(q, m1_only=m1_only, cache=cache,
-                                 budget=budget, iso_sink=iso_sink))
-    return reports
+    return [sweep_one(q, m1_only=m1_only, cache=cache, budget=budget,
+                      iso_sink=iso_sink)
+            for q in _sweep_qs(q_min, q_max, m1_only, budget)]

@@ -112,6 +112,24 @@ def test_negative_budget_is_domain_error(capsys, argv, code_at_0):
     assert run(capsys, *argv, "--budget", "0")[0] == code_at_0
 
 
+@pytest.mark.parametrize("argv", [
+    ("--qmin", "5", "--qmax", "3"),
+    ("--qmin", "2", "--qmax", "3", "--budget", "-1"),
+    ("--qmin", "2", "--qmax", "131"),       # past MAX_VERTICES at q = 131
+])
+def test_sweep_bad_arguments_leave_cache_alone(capsys, tmp_path, argv):
+    cache = tmp_path / "cache.jsonl"
+    code, out, err = run(capsys, "sweep", *argv, "--cache", str(cache))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not cache.exists()
+    # opening the cache would cut this torn trailing line
+    torn = '{"q": 7, "m": 1, "tru'
+    cache.write_text(torn, encoding="utf-8")
+    assert run(capsys, "sweep", *argv, "--cache", str(cache))[0] == 1
+    assert cache.read_text(encoding="utf-8") == torn
+
+
 def test_iso_json_byte_stable(capsys):
     _, out1, _ = run(capsys, "iso", "17", "1", "4", "1", "12", "--json")
     _, out2, _ = run(capsys, "iso", "17", "1", "4", "1", "12", "--json")

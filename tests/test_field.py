@@ -158,3 +158,5 @@ def test_lagrange_interpolation_roundtrip():
     coeffs = lagrange_interpolate(F, values)
     for x, y in values:
         assert poly_eval(F, coeffs, x) == y
+    with pytest.raises(ValueError):
+        lagrange_interpolate(F, values[:-1])

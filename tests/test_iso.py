@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -219,6 +221,41 @@ def test_iso_search_root_refinement_runs_once(monkeypatch):
     assert cert.witness == "color-refinement"
     assert cert.nodes == 0
     assert len(calls) == 1
+
+
+def test_group_is_built_only_when_the_root_branches(monkeypatch):
+    calls = Counter()
+    for name in ("_refine", "_known_automorphisms"):
+        original = getattr(iso, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(iso, name, counting)
+    # the root refinement separates this pair
+    assert iso_search(build(11, 1, 3), build(11, 1, 7)).nodes == 0
+    assert calls == {"_refine": 1}
+    calls.clear()
+    assert iso_search(build(16, 3, 6), build(16, 3, 9)).nodes == 42
+    assert calls["_known_automorphisms"] == 1
+
+
+def test_deep_search_is_undecided_not_a_crash():
+    # refinement cannot split isolated vertices, so each search level
+    # individualizes one of them; a lowered recursion limit reaches the
+    # depth that 1,100 vertices need under the default limit
+    D1 = Digraph([[] for _ in range(300)])
+    D2 = Digraph(D1.adj)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        with pytest.raises(UndecidedError) as exc:
+            iso_search(D1, D2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert 0 < exc.value.nodes < D1.n
+    assert iso_search(D1, D2).nodes == D1.n - 1
 
 
 def test_iso_search_budget():
