@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from .field import Field
 
 DEFAULT_CYCLE_BUDGET = 10 ** 8
-# build_monomial refuses larger digraphs: q <= 128
+# check_order, and so build_monomial and the sweep, refuse larger digraphs:
+# q <= 128
 MAX_VERTICES = 1 << 14
 
 
@@ -75,6 +76,14 @@ def transpose(adj):
     return radj
 
 
+def check_order(q: int):
+    """Raise ValueError when D(q; m, n), with q^2 vertices, would exceed
+    MAX_VERTICES."""
+    if q * q > MAX_VERTICES:
+        raise ValueError(f"q = {q} gives {q * q} vertices, more than the "
+                         f"implementation bound {MAX_VERTICES}")
+
+
 def build_monomial(field: Field, m: int, n: int) -> Digraph:
     """Build D(q; m, n): arc (x1,x2)->(y1,y2) iff x2 + y2 = x1^m * y1^n.
 
@@ -82,9 +91,7 @@ def build_monomial(field: Field, m: int, n: int) -> Digraph:
     MAX_VERTICES.
     """
     q = field.q
-    if q * q > MAX_VERTICES:
-        raise ValueError(f"q = {q} gives {q * q} vertices, more than the "
-                         f"implementation bound {MAX_VERTICES}")
+    check_order(q)
     params = MonomialParams(q, m, n)
     xm = [field.pow(x, m) for x in range(q)]
     yn = [field.pow(y, n) for y in range(q)]

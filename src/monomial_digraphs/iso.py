@@ -201,24 +201,25 @@ def _edge_labels(D):
     out[u][i] the label of u -> adj[u][i] and in[v][i] that of
     radj[v][i] -> v.
 
-    A label packs the four common-neighborhood sizes of the arc's
-    endpoints into one int, base n + 1, so distinct tuples get distinct
-    labels in the same order.  Any isomorphism preserves them, and they
-    give the refinement enough traction on these doubly regular digraphs.
+    The label of u -> v packs the number of 2-paths u -> w -> v,
+    |N+(u) & N-(v)|, and that of 2-paths v -> w -> u, |N-(u) & N+(v)|,
+    into one int, a * (n + 1) + b.  Any isomorphism preserves them, and
+    they give the refinement enough traction on these doubly regular
+    digraphs; the first count alone does not (D(32; 1, 2) and
+    D(32; 1, 6) then need a search node).
     """
     if getattr(D, "_iso_edge_labels", None) is None:
-        outs = [set(a) for a in D.adj]
-        ins = [set(a) for a in D.radj]
+        adj, radj = D.adj, D.radj
         base = D.n + 1
         out = []
         inn = [[] for _ in range(D.n)]
         # radj[v] lists tails in ascending order, as u runs here
-        for u, nbrs in enumerate(D.adj):
-            ou, iu = outs[u], ins[u]
+        for u, nbrs in enumerate(adj):
+            ou, iu = set(nbrs), set(radj[u])
             row = []
             for v in nbrs:
-                lab = (((len(ou & outs[v]) * base + len(ou & ins[v])) * base
-                        + len(iu & outs[v])) * base + len(iu & ins[v]))
+                lab = (len(ou.intersection(radj[v])) * base
+                       + len(iu.intersection(adj[v])))
                 row.append(lab)
                 inn[v].append(lab)
             out.append(row)
@@ -363,6 +364,10 @@ def iso_search(D1: Digraph, D2: Digraph,
         # one level per individualized vertex: refinement left a large
         # class that it cannot split
         raise UndecidedError(nodes) from None
+    finally:
+        # search refers to itself through this cell; emptying it breaks
+        # the cycle, so the digraphs and their labels are freed on return
+        del search
     elapsed = time.perf_counter() - t0
     if mapping is None:
         return IsoCertificate("NonIso", witness="search-exhausted",

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .field import make_field, factor_prime_power
-from .digraph import build_monomial, MAX_VERTICES
+from .digraph import build_monomial, check_order
 from . import invariants
 from .iso import (explicit_iso, power_map, verify_power_map,
                   conjugate_classes, iso_search, ParameterClass,
@@ -144,18 +144,12 @@ def _m1_classes(q):
             for n in range(1, q)]
 
 
-def _check_order(q):
-    if q * q > MAX_VERTICES:
-        raise ValueError(f"q = {q} gives {q * q} vertices, more than the "
-                         f"implementation bound {MAX_VERTICES}")
-
-
 def sweep_one(q, *, m1_only=False, cache=None,
               budget=DEFAULT_SEARCH_BUDGET, iso_sink=None) -> SweepReport:
     t0 = time.perf_counter()
     # the within-class phase builds no digraph, so the bound is checked
     # here, before it makes q^2-sized power maps
-    _check_order(q)
+    check_order(q)
     report = SweepReport(q=q)
     F = make_field(*factor_prime_power(q))
     classes = _m1_classes(q) if m1_only else conjugate_classes(q)
@@ -241,7 +235,7 @@ def _sweep_qs(q_min, q_max, m1_only, budget):
     qs = [q for q in prime_powers(q_min, q_max)
           if not (m1_only and q % 2 == 0)]
     for q in qs:
-        _check_order(q)
+        check_order(q)
     return qs
 
 

@@ -9,7 +9,8 @@ from monomial_digraphs.digraph import (MonomialParams, Digraph,
                                        build_monomial, reverse,
                                        bipartite_cover, strong_components,
                                        diameter, count_cycles_by_length,
-                                       export, BudgetExceededError)
+                                       export, BudgetExceededError,
+                                       check_order, MAX_VERTICES)
 from monomial_digraphs.invariants import two_cycle_count
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
@@ -43,6 +44,12 @@ def test_monomial_params_validation():
         MonomialParams(3, 0, 1)
     with pytest.raises(ValueError):
         MonomialParams(3, 1, 99)
+
+
+def test_check_order_bound():
+    check_order(128)                    # 16384 = MAX_VERTICES vertices
+    with pytest.raises(ValueError, match=str(MAX_VERTICES)):
+        check_order(131)
 
 
 def test_fig1_arc_set():

@@ -1,7 +1,10 @@
+import gc
 import hashlib
+import importlib
 import inspect
 import json
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -16,6 +19,9 @@ from monomial_digraphs.iso import (explicit_iso, power_map, psi_automorphism,
                                    conjugate_classes, stable_coloring,
                                    iso_search, extract_g, UndecidedError,
                                    FirstCoordinateDependenceError)
+
+# the package exports the function sweep under the module's name
+sweep_mod = importlib.import_module("monomial_digraphs.sweep")
 
 
 def build(q, m, n):
@@ -292,43 +298,83 @@ def test_iso_search_reads_vertex_seeds_not_arcs(monkeypatch):
     assert all(count <= 2 * q * q for count in calls.values()), calls
 
 
-def _edge_label_dict(D):
-    """The arc labels as a dict keyed by (u, v): four common-neighbourhood
-    sizes per arc, computed without packing."""
-    outs = [set(a) for a in D.adj]
-    ins = [set(a) for a in D.radj]
-    lab = {}
-    for u in range(D.n):
-        ou, iu = outs[u], ins[u]
-        for v in D.adj[u]:
-            lab[(u, v)] = (len(ou & outs[v]), len(ou & ins[v]),
-                           len(iu & outs[v]), len(iu & ins[v]))
-    return lab
+def _two_path_counts(D):
+    """The arc labels as a dict keyed by (u, v), computed arc by arc with
+    has_arc and without packing: the number of 2-paths u -> w -> v and
+    that of 2-paths v -> w -> u."""
+    return {(u, v): (sum(D.has_arc(w, v) for w in D.adj[u]),
+                     sum(D.has_arc(w, u) for w in D.adj[v]))
+            for u, v in D.arcs()}
 
 
-def _unpack(label, base):
-    digits = []
-    for _ in range(4):
-        label, d = divmod(label, base)
-        digits.append(d)
-    assert label == 0
-    return tuple(reversed(digits))
+# loops at 0 and 3, 2-cycles 0 <-> 1 and 1 <-> 2, and no params
+_LOOPED = Digraph([[0, 1, 2], [0, 2], [1, 3], [3, 0]])
 
 
-@pytest.mark.parametrize("q, m, n", [(8, 1, 2), (9, 2, 5), (16, 3, 6)])
-def test_edge_labels_aligned_with_adjacency(q, m, n):
-    D = build(q, m, n)
-    oracle = _edge_label_dict(D)
+@pytest.mark.parametrize("D", [build(8, 1, 2), build(9, 2, 5),
+                               build(16, 3, 6), _LOOPED],
+                         ids=["8-1-2", "9-2-5", "16-3-6", "looped"])
+def test_edge_labels_aligned_with_adjacency(D):
+    oracle = _two_path_counts(D)
     out, inn = iso._edge_labels(D)
     base = D.n + 1
     assert [len(row) for row in out] == [len(row) for row in D.adj]
     assert [len(row) for row in inn] == [len(row) for row in D.radj]
     for u, nbrs in enumerate(D.adj):
         for i, v in enumerate(nbrs):
-            assert _unpack(out[u][i], base) == oracle[(u, v)]
+            assert divmod(out[u][i], base) == oracle[(u, v)]
     for v, tails in enumerate(D.radj):
         for i, u in enumerate(tails):
-            assert _unpack(inn[v][i], base) == oracle[(u, v)]
+            assert divmod(inn[v][i], base) == oracle[(u, v)]
+
+
+def _four_count_labels(D):
+    """Reference arc labels, aligned like iso._edge_labels: the four
+    common-neighbourhood sizes |N+(u) & N+(v)|, |N+(u) & N-(v)|,
+    |N-(u) & N+(v)| and |N-(u) & N-(v)| of the arc u -> v, packed base
+    n + 1.  Kept on the digraph under a name of their own."""
+    if getattr(D, "_four_count_labels", None) is None:
+        outs = [set(a) for a in D.adj]
+        ins = [set(a) for a in D.radj]
+        base = D.n + 1
+        out = []
+        inn = [[] for _ in range(D.n)]
+        for u, nbrs in enumerate(D.adj):
+            row = []
+            for v in nbrs:
+                lab = 0
+                for a, b in ((outs[u], outs[v]), (outs[u], ins[v]),
+                             (ins[u], outs[v]), (ins[u], ins[v])):
+                    lab = lab * base + len(a & b)
+                row.append(lab)
+                inn[v].append(lab)
+            out.append(row)
+        D._four_count_labels = out, inn
+    return D._four_count_labels
+
+
+def test_two_count_labels_match_four_count_reference(monkeypatch):
+    # every pair that reaches iso_search in these sweeps gets the same
+    # certificate, nodes and mapping included, from either label set
+    certs = []
+    search = sweep_mod.iso_search
+
+    def both(D1, D2, budget):
+        cert = search(D1, D2, budget=budget)
+        with monkeypatch.context() as m:
+            m.setattr(iso, "_edge_labels", _four_count_labels)
+            ref = search(D1, D2, budget=budget)
+        assert D1._four_count_labels is not None
+        certs.append((D1.params, D2.params, cert.as_dict(), ref.as_dict()))
+        return cert
+
+    monkeypatch.setattr(sweep_mod, "iso_search", both)
+    sweep_mod.sweep(2, 19)
+    sweep_mod.sweep(3, 25, m1_only=True)
+    assert len({c[0].q for c in certs}) >= 5
+    assert any(c[2]["nodes"] > 0 for c in certs)
+    for p1, p2, cert, ref in certs:
+        assert cert == ref, (p1, p2)
 
 
 _NULL_SHA = "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"
@@ -355,6 +401,8 @@ GOLDEN_CERTIFICATES = {
                       "5649d4113e9f2fcb0f01682f7c841f99"),
     (13, 1, 2, 5, 10): ("Iso", None, 2, "474b2820b714ae932664371f03f8f697"
                         "7add7a1474e04feb86b19cb23e55374a"),
+    # the 2-paths u -> w -> v alone leave this pair to a search node
+    (32, 1, 2, 1, 6): ("NonIso", "color-refinement", 0, _NULL_SHA),
 }
 
 
@@ -432,6 +480,21 @@ def test_mismatched_params_fall_back_to_unpruned_search():
     assert cert.verdict == "Iso"
     assert verify_mapping(D, wrong, list(cert.mapping))
     assert cert.mapping == iso_search(Digraph(D.adj), Digraph(D.adj)).mapping
+
+
+def test_branching_search_leaves_no_reference_cycle():
+    # with the cyclic collector off, only reference counting can free D1
+    D1, D2 = build(16, 1, 2), build(16, 1, 8)
+    ref = weakref.ref(D1)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert iso_search(D1, D2).nodes == 1
+        del D1
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_iso_search_rejects_mismatched_orders():
