@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 domain error (bad parameters), 2 undecided
-(search budget or recursion depth exhausted), 3 I/O error.  --json output
+(search budget exhausted), 3 I/O error.  --json output
 is byte-stable for identical invocations; timings and diagnostics go to
 stderr.
 """

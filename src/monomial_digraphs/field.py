@@ -199,15 +199,12 @@ def make_field(p: int, e: int) -> Field:
     if q > MAX_ORDER:
         raise ValueError(f"q = {q} exceeds implementation bound {MAX_ORDER}")
 
-    if e == 1:
-        modulus_low = None
-        modulus_high = ()
-    else:
-        modulus_low = None
+    modulus_low = None
+    modulus_high = ()
+    if e > 1:
         for k in range(p ** e):
             # digits of k read high-degree-first gives lexicographic order
-            high_first = _digits(k, p, e)[::-1]
-            cand = high_first[::-1] + [1]  # low-first, monic
+            cand = _digits(k, p, e) + [1]  # low-first, monic
             if _is_irreducible(cand, p):
                 modulus_low = cand
                 break

@@ -44,6 +44,14 @@ class InvariantProfile:
         return d
 
 
+def separating_field(prof1, prof2):
+    """The first of PRUNING_FIELDS in which two profiles differ, or None."""
+    for name in PRUNING_FIELDS:
+        if getattr(prof1, name) != getattr(prof2, name):
+            return name
+    return None
+
+
 def gcd_profile(q: int, m: int, n: int):
     """(m_bar, n_bar, sum_bar, diff_bar) with gcd(0, q-1) = q-1."""
     return (gcd_bar(m, q), gcd_bar(n, q),
@@ -51,22 +59,21 @@ def gcd_profile(q: int, m: int, n: int):
 
 
 def vertex_seeds(D: Digraph):
-    """Per-vertex (v -> v is an arc, number of w != v with v -> w -> v).
+    """Per-vertex 2 * mutual + loop, with loop = 1 if v -> v is an arc
+    and mutual the number of w != v with v -> w -> v.
 
     Both are preserved by any isomorphism.  The table is computed once per
     digraph and kept on it; the loop and 2-cycle counts, the K census and
     the initial colours of the isomorphism search read it."""
     seeds = getattr(D, "_vertex_seeds", None)
     if seeds is None:
-        # the in-rows are dropped, not kept as D.radj, and equal seeds share
-        # one tuple: a sweep holds every digraph it profiles, and most are
-        # never searched
-        seeds, keys = [], {}
+        # the in-rows are dropped, not kept as D.radj: a sweep holds every
+        # digraph it profiles, and most are never searched
+        seeds = []
         for v, (out, inn) in enumerate(zip(D.adj, transpose(D.adj))):
             mutual = set(out).intersection(inn)
             loop = v in mutual
-            key = (loop, len(mutual) - loop)
-            seeds.append(keys.setdefault(key, key))
+            seeds.append(2 * (len(mutual) - loop) + loop)
         D._vertex_seeds = seeds
     return seeds
 
@@ -74,7 +81,7 @@ def vertex_seeds(D: Digraph):
 def count_loops(D: Digraph):
     """(total, number of distinct nonzero second coordinates of looped
     vertices).  For odd q the latter equals (q-1)/gcd_bar(m+n, q)."""
-    looped = [v for v, (loop, _) in enumerate(vertex_seeds(D)) if loop]
+    looped = [v for v, s in enumerate(vertex_seeds(D)) if s & 1]
     ys = ({v % D.field.q for v in looped} - {0}
           if D.field is not None else ())
     return len(looped), len(ys)
@@ -82,7 +89,7 @@ def count_loops(D: Digraph):
 
 def two_cycle_count(D: Digraph) -> int:
     """Unordered pairs of distinct mutually adjacent vertices."""
-    return sum(c for _, c in vertex_seeds(D)) // 2
+    return sum(s >> 1 for s in vertex_seeds(D)) // 2
 
 
 def two_cycle_formula(q: int, m: int, n: int) -> int:
@@ -118,7 +125,7 @@ def motif_census(D: Digraph, name: str) -> int:
     """
     if name == "K":
         # each looped a is its own out-neighbour: subtract that one
-        looped = {v for v, (loop, _) in enumerate(vertex_seeds(D)) if loop}
+        looped = {v for v, s in enumerate(vertex_seeds(D)) if s & 1}
         return sum(len(looped.intersection(D.adj[a])) - 1 for a in looped)
     if name == "directed-K22":
         if D.params is not None:

@@ -17,12 +17,11 @@ DEFAULT_SEARCH_BUDGET = 10 ** 9
 
 
 class UndecidedError(Exception):
-    """The search stopped before a verdict: its node budget ran out, or it
-    nested deeper than the interpreter's recursion limit."""
+    """The search stopped before a verdict: its node budget ran out."""
 
     def __init__(self, nodes):
         super().__init__(f"no verdict after {nodes} search nodes "
-                         f"(budget or recursion depth exhausted)")
+                         f"(budget exhausted)")
         self.nodes = nodes
 
 
@@ -289,9 +288,8 @@ def iso_search(D1: Digraph, D2: Digraph,
     digraph, the search skips a candidate that a known automorphism of D2
     (see _known_automorphisms) maps onto one that already failed; this
     saves nodes and changes no verdict or mapping.  Exceeding `budget`
-    backtrack nodes, or a search deeper than the interpreter's recursion
-    limit, raises UndecidedError (never reported as NonIso); a negative
-    budget raises ValueError.
+    backtrack nodes raises UndecidedError (never reported as NonIso); a
+    negative budget raises ValueError.
     """
     t0 = time.perf_counter()
     if budget < 0:
@@ -304,77 +302,72 @@ def iso_search(D1: Digraph, D2: Digraph,
         if not filt.passed:
             return IsoCertificate("NonIso", witness=filt.failed_condition,
                                   seconds=time.perf_counter() - t0)
-        p1 = invariants.profile(D1)
-        p2 = invariants.profile(D2)
-        for name in invariants.PRUNING_FIELDS:
-            if getattr(p1, name) != getattr(p2, name):
-                return IsoCertificate("NonIso", witness=name,
-                                      seconds=time.perf_counter() - t0)
+        name = invariants.separating_field(invariants.profile(D1),
+                                           invariants.profile(D2))
+        if name is not None:
+            return IsoCertificate("NonIso", witness=name,
+                                  seconds=time.perf_counter() - t0)
 
     root = _refine(D1, D2, invariants.vertex_seeds(D1),
                    invariants.vertex_seeds(D2))
     if root is None:
         return IsoCertificate("NonIso", witness="color-refinement",
                               seconds=time.perf_counter() - t0)
-    nodes = 0
-
-    def search(c1, c2, stab):
-        """Extend the refined, unseparated colorings (c1, c2) to an
-        isomorphism.  `stab` is the pointwise stabilizer, within the known
-        automorphisms of D2, of the D2 vertices individualized so far."""
-        nonlocal nodes
-        classes1 = _classes_by_color(c1)
-        classes2 = _classes_by_color(c2)
-        if len(classes1) == D1.n:
-            mapping = [classes2[c][0] for c in c1]
-            return mapping if verify_mapping(D1, D2, mapping) else None
-        # smallest non-singleton class; ties broken by smallest member id
-        color = min((c for c, vs in classes1.items() if len(vs) > 1),
-                    key=lambda c: (len(classes1[c]), classes1[c][0]))
-        v = classes1[color][0]
-        fresh = len(classes1)       # refined colours are 0 .. fresh - 1
-        # An automorphism g in stab preserves c2, so v -> w extends to an
-        # isomorphism iff v -> g(w) does: once w fails, its orbit is skipped.
-        tried = set()
-        for w in classes2[color]:
-            if w in tried:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise UndecidedError(nodes)
-            n1 = list(c1)
-            n2 = list(c2)
-            n1[v] = fresh
-            n2[w] = fresh
-            refined = _refine(D1, D2, n1, n2)
-            if refined is not None:
-                found = search(*refined,
-                               [g for g in stab if apply(g, w) == w])
-                if found is not None:
-                    return found
-            tried.update(apply(g, w) for g in stab)
-        return None
-
     # built once, and only when the search will branch
     group = _known_automorphisms(D2) if len(set(root[0])) < D1.n else None
     stab, apply = group or ([], None)
-    try:
-        mapping = search(*root, stab)
-    except RecursionError:
-        # one level per individualized vertex: refinement left a large
-        # class that it cannot split
-        raise UndecidedError(nodes) from None
-    finally:
-        # search refers to itself through this cell; emptying it breaks
-        # the cycle, so the digraphs and their labels are freed on return
-        del search
-    elapsed = time.perf_counter() - t0
-    if mapping is None:
-        return IsoCertificate("NonIso", witness="search-exhausted",
-                              nodes=nodes, seconds=elapsed)
-    assert verify_mapping(D1, D2, mapping)
-    return IsoCertificate("Iso", mapping=tuple(mapping),
-                          nodes=nodes, seconds=elapsed)
+    nodes = 0
+    # One frame per individualized vertex v of D1: the refined, unseparated
+    # colourings (c1, c2) it branches from, `stab`, the pointwise
+    # stabilizer within the known automorphisms of D2 of the D2 vertices
+    # individualized above it, the fresh colour, the candidates w in D2
+    # not yet taken and the `tried` orbits of those already taken.
+    stack = []
+    node = (*root, stab)            # refined colourings still to expand
+    while True:
+        if node is not None:
+            c1, c2, stab = node
+            node = None
+            classes1 = _classes_by_color(c1)
+            classes2 = _classes_by_color(c2)
+            if len(classes1) == D1.n:
+                mapping = [classes2[c][0] for c in c1]
+                if verify_mapping(D1, D2, mapping):
+                    return IsoCertificate("Iso", mapping=tuple(mapping),
+                                          nodes=nodes,
+                                          seconds=time.perf_counter() - t0)
+            else:
+                # smallest non-singleton class; ties by smallest member id
+                color = min((c for c, vs in classes1.items() if len(vs) > 1),
+                            key=lambda c: (len(classes1[c]), classes1[c][0]))
+                # refined colours are 0 .. len(classes1) - 1
+                stack.append((c1, c2, stab, classes1[color][0],
+                              len(classes1), iter(classes2[color]), set()))
+        if not stack:
+            return IsoCertificate("NonIso", witness="search-exhausted",
+                                  nodes=nodes,
+                                  seconds=time.perf_counter() - t0)
+        c1, c2, stab, v, fresh, candidates, tried = stack[-1]
+        w = next(candidates, None)
+        if w is None:
+            stack.pop()
+            continue
+        if w in tried:
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise UndecidedError(nodes)
+        # An automorphism g in stab preserves c2, so v -> w extends to an
+        # isomorphism iff v -> g(w) does: once w fails, its orbit is skipped.
+        # The orbit is recorded now and read only after w has failed.
+        tried.update(apply(g, w) for g in stab)
+        n1 = list(c1)
+        n2 = list(c2)
+        n1[v] = fresh
+        n2[w] = fresh
+        refined = _refine(D1, D2, n1, n2)
+        if refined is not None:
+            node = (*refined, [g for g in stab if apply(g, w) == w])
 
 
 # -- structural analysis of discovered isomorphisms --------------------------

@@ -202,8 +202,7 @@ def sweep_one(q, *, m1_only=False, cache=None,
                 continue
             prof_i = rep_profile(*reps[i])
             prof_j = rep_profile(*reps[j])
-            if any(getattr(prof_i, f) != getattr(prof_j, f)
-                   for f in invariants.PRUNING_FIELDS):
+            if invariants.separating_field(prof_i, prof_j) is not None:
                 report.resolved_by_invariant += 1
                 continue
             try:

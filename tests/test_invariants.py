@@ -59,10 +59,10 @@ def test_two_cycle_reversal_invariant():
 
 
 def _seed_oracle(D):
-    """Loop membership and 2-cycle degree of each vertex, by bisecting the
-    adjacency rows one arc at a time."""
-    return [(D.has_arc(v, v),
-             sum(1 for w in D.adj[v] if w != v and D.has_arc(w, v)))
+    """2 * (2-cycle degree) + (loop membership) of each vertex, by
+    bisecting the adjacency rows one arc at a time."""
+    return [2 * sum(1 for w in D.adj[v] if w != v and D.has_arc(w, v))
+            + D.has_arc(v, v)
             for v in range(D.n)]
 
 

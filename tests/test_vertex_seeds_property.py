@@ -29,7 +29,8 @@ def test_vertex_seeds_match_bruteforce(adj):
     mutual = [sum(1 for w in range(n)
                   if w != v and (v, w) in arcs and (w, v) in arcs)
               for v in range(n)]
-    assert vertex_seeds(D) == [(v in looped, mutual[v]) for v in range(n)]
+    assert vertex_seeds(D) == [2 * mutual[v] + (v in looped)
+                               for v in range(n)]
     assert count_loops(D) == (len(looped), 0)
     assert two_cycle_count(D) == sum(mutual) // 2
     assert motif_census(D, "K") == sum(1 for a in looped for b in looped
