@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 domain error (bad parameters), 2 undecided
-(search budget exhausted), 3 I/O error.  --json output
+(the search's node budget or, for `cycles` and `invariants --cycles`, the
+cycle enumeration's step budget exhausted), 3 I/O error.  --json output
 is byte-stable for identical invocations; timings and diagnostics go to
 stderr.
 """

@@ -168,12 +168,14 @@ def sweep_one(q, *, m1_only=False, cache=None,
         for m, n in cls.members:
             if (m, n) == (rm, rn):
                 continue
+            # raised, not asserted, so that python -O keeps the checks
             k = explicit_iso(q, rm, rn, m, n)
-            assert k is not None, "class member without explicit isomorphism"
+            if k is None:
+                raise RuntimeError("class member without explicit isomorphism")
             mapping = power_map(F, k)
-            ok = verify_power_map(F, mapping, (m, n), (rm, rn))
-            assert ok, f"explicit map failed verification for q={q} " \
-                       f"({m},{n}) -> ({rm},{rn})"
+            if not verify_power_map(F, mapping, (m, n), (rm, rn)):
+                raise RuntimeError(f"explicit map failed verification for "
+                                   f"q={q} ({m},{n}) -> ({rm},{rn})")
             report.within_class_checks += 1
             if iso_sink is not None:
                 iso_sink.append({"q": q, "source": (m, n), "target": (rm, rn),

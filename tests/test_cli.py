@@ -199,6 +199,18 @@ def test_sweep_corrupt_cache_is_io_error(capsys, tmp_path):
     assert "corrupt cache line 1" in err
 
 
+def test_cycle_budget_exhaustion_is_undecided(capsys, monkeypatch):
+    # exit 2 has a second cause besides the search budget
+    count = cli.count_cycles_by_length
+    monkeypatch.setattr(cli, "count_cycles_by_length",
+                        lambda D, L: count(D, L, budget=10))
+    code, out, err = run(capsys, "cycles", "3", "1", "2", "3")
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines()
+            if line.startswith("undecided:")] == \
+        ["undecided: cycle enumeration exceeded 10 steps"]
+
+
 def test_census_and_cycles_and_trinomial(capsys):
     code, out, _ = run(capsys, "census", "17", "1", "4")
     assert (code, out.strip()) == (0, "16")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from monomial_digraphs.sweep import (SweepReport, ProfileCache, prime_powers,
                                      sweep, sweep_one)
@@ -36,6 +40,22 @@ def test_sweep_q5_accounting():
     assert (r.resolved_by_invariant + r.resolved_by_search
             + r.undecided + len(r.counterexamples)) == 45
     assert r.counterexamples == [] and r.undecided == 0
+
+
+def test_failed_member_check_fails_under_python_O():
+    # the within-class checks must not be assert statements, which -O drops
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import importlib\n"
+            "sweep = importlib.import_module('monomial_digraphs.sweep')\n"
+            "sweep.verify_power_map = lambda *args: False\n"
+            "print(sweep.sweep(5, 5)[0].within_class_checks)\n")
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode != 0, res.stdout
+    assert "explicit map failed verification for q=5" in res.stderr
 
 
 def test_sweep_m1_only_skips_even_q():
