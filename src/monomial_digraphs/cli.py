@@ -125,8 +125,10 @@ def _cmd_invariants(args):
 
 
 def _cmd_iso(args):
-    D1 = _build_digraph(args.q, args.m1, args.n1)
-    D2 = _build_digraph(args.q, args.m2, args.n2)
+    # one field, so both digraphs share its tables
+    F = field_for_order(args.q)
+    D1 = build_monomial(F, args.m1, args.n1)
+    D2 = build_monomial(F, args.m2, args.n2)
     cert = iso_search(D1, D2, budget=args.budget)
     print(f"nodes={cert.nodes} time={cert.seconds:.3f}s", file=sys.stderr)
     if args.json:

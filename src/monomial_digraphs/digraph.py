@@ -84,7 +84,15 @@ def check_order(q: int):
                          f"implementation bound {MAX_VERTICES}")
 
 
-def build_monomial(field: Field, m: int, n: int) -> Digraph:
+class MonomialDigraph(Digraph):
+    """A digraph that build_monomial made: its arcs are exactly those of
+    D(params.q; params.m, params.n) over `field`, so counts over its arcs
+    may be read from the field instead.  A Digraph given a field and
+    params by hand carries no such guarantee and is counted from its
+    arcs."""
+
+
+def build_monomial(field: Field, m: int, n: int) -> MonomialDigraph:
     """Build D(q; m, n): arc (x1,x2)->(y1,y2) iff x2 + y2 = x1^m * y1^n.
 
     Raises ValueError, before building anything, when q^2 exceeds
@@ -93,18 +101,17 @@ def build_monomial(field: Field, m: int, n: int) -> Digraph:
     q = field.q
     check_order(q)
     params = MonomialParams(q, m, n)
-    xm = [field.pow(x, m) for x in range(q)]
-    yn = [field.pow(y, n) for y in range(q)]
+    xm, yn = field.powers(m), field.powers(n)
     # diff[c][x2] = c - x2: the head's second coordinate y2 for every x2
-    diff = [[field.sub(c, x2) for x2 in range(q)] for c in range(q)]
+    mul, diff = field.mul_table, field.sub_table
     adj = []
     for a in xm:
         # column y1 holds the heads (y1, c - x2) for x2 = 0..q-1, so the
         # transposed columns are the rows of the vertices (x1, x2)
-        cols = [[y1 * q + y2 for y2 in diff[field.mul(a, b)]]
+        cols = [[y1 * q + y2 for y2 in diff[mul[a][b]]]
                 for y1, b in enumerate(yn)]
         adj.extend(zip(*cols))
-    return Digraph(adj, field=field, params=params)
+    return MonomialDigraph(adj, field, params)
 
 
 def reverse(D: Digraph) -> Digraph:

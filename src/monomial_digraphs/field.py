@@ -8,6 +8,7 @@ sum c_i * X^i).  This keeps vertex ids and file formats canonical.
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 MAX_ORDER = 1 << 16
 
@@ -125,7 +126,9 @@ def _undigits(c, p):
 class Field:
     """GF(p^e) with deterministic modulus and exp/log tables.
 
-    Immutable after construction; safe to share across workers.
+    Immutable after construction; safe to share across workers.  The q x q
+    tables `mul_table` and `sub_table` are made on first use and kept, so
+    every digraph built over one Field shares them.
     """
 
     p: int
@@ -182,6 +185,22 @@ class Field:
                 raise ValueError("0 raised to a non-positive power")
             return 0
         return self.exp[(m * self.log[a]) % (self.q - 1)]
+
+    def powers(self, k: int):
+        """[x^k for x in GF(q)], for k >= 1."""
+        return [self.pow(x, k) for x in range(self.q)]
+
+    @cached_property
+    def mul_table(self):
+        """mul_table[a][b] = a * b."""
+        return [[self.mul(a, b) for b in range(self.q)]
+                for a in range(self.q)]
+
+    @cached_property
+    def sub_table(self):
+        """sub_table[a][b] = a - b."""
+        return [[self.sub(a, b) for b in range(self.q)]
+                for a in range(self.q)]
 
 
 def make_field(p: int, e: int) -> Field:

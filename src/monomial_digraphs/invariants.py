@@ -1,15 +1,17 @@
 """Isomorphism invariants and counting formulas for monomial digraphs.
 
-Every closed-form count here has a brute-force twin that scans the digraph
-directly, so the two routes can check each other.
+A digraph that build_monomial made is counted from its field: its vertex
+seeds and K count are counts of solutions of field equations, read from
+lookup tables, and field_profile gives its whole profile without building
+it.  Every such count has a twin that scans the arcs, which serves every
+other digraph, so the two routes can check each other.
 """
 
 from dataclasses import dataclass, asdict, replace
-from itertools import combinations
 from math import comb
 
 from .field import Field, gcd_bar
-from .digraph import Digraph, count_cycles_by_length, transpose
+from .digraph import Digraph, MonomialDigraph, count_cycles_by_length
 
 MOTIF_NAMES = ("K", "directed-K22")
 
@@ -64,17 +66,40 @@ def vertex_seeds(D: Digraph):
 
     Both are preserved by any isomorphism.  The table is computed once per
     digraph and kept on it; the loop and 2-cycle counts, the K census and
-    the initial colours of the isomorphism search read it."""
+    the initial colours of the isomorphism search read it.  A digraph that
+    build_monomial made is read from its field (_field_seeds), any other
+    from its arcs."""
     seeds = getattr(D, "_vertex_seeds", None)
     if seeds is None:
-        # the in-rows are dropped, not kept as D.radj: a sweep holds every
-        # digraph it profiles, and most are never searched
-        seeds = []
-        for v, (out, inn) in enumerate(zip(D.adj, transpose(D.adj))):
-            mutual = set(out).intersection(inn)
-            loop = v in mutual
-            seeds.append(2 * (len(mutual) - loop) + loop)
+        if isinstance(D, MonomialDigraph):
+            seeds = _field_seeds(D.field, D.params.m, D.params.n)
+        else:
+            seeds = []
+            for v, (out, inn) in enumerate(zip(D.adj, D.radj)):
+                mutual = set(out).intersection(inn)
+                loop = v in mutual
+                seeds.append(2 * (len(mutual) - loop) + loop)
         D._vertex_seeds = seeds
+    return seeds
+
+
+def _field_seeds(F: Field, m: int, n: int):
+    """vertex_seeds of D(q; m, n), from the field's tables.
+
+    (x1, x2) -> (y1, y2) -> (x1, x2) iff x1^m * y1^n = y1^m * x1^n and
+    y2 = x1^m * y1^n - x2, so the mutual(x1) elements y1 that solve the
+    first equation give as many mutual neighbours of each (x1, x2).  One
+    of them, y1 = x1, is the vertex itself exactly when it is looped, that
+    is when 2 * x2 = x1^(m+n).
+    """
+    mul, sub = F.mul_table, F.sub_table
+    xm, xn = F.powers(m), F.powers(n)
+    twice = [row[sub[0][a]] for a, row in enumerate(sub)]    # a + a
+    seeds = []
+    for a, b in zip(xm, xn):
+        mutual = sum(mul[a][yn] == mul[ym][b] for ym, yn in zip(xm, xn))
+        power = mul[a][b]
+        seeds.extend(2 * mutual - (t == power) for t in twice)
     return seeds
 
 
@@ -92,9 +117,40 @@ def two_cycle_count(D: Digraph) -> int:
     return sum(s >> 1 for s in vertex_seeds(D)) // 2
 
 
+def loop_formula(q: int, m: int, n: int):
+    """(q, (q-1)/gcd_bar(m+n) for odd q, q-1 for even q), the value of
+    count_loops: the looped vertices are (x, x^(m+n)/2) for odd q and
+    (0, y) for even q."""
+    return q, (q - 1 if q % 2 == 0 else (q - 1) // gcd_bar(m + n, q))
+
+
 def two_cycle_formula(q: int, m: int, n: int) -> int:
     """q(q-1)(2 + gcd_bar(m-n)) / 2, the value of two_cycle_count."""
     return q * (q - 1) * (2 + gcd_bar(m - n, q)) // 2
+
+
+def k_formula(F: Field, m: int, n: int) -> int:
+    """K count of D(q; m, n), from the field's tables.
+
+    For odd q the looped vertices are (x, x^(m+n)/2), one per x, and
+    (x, x^(m+n)/2) -> (x', x'^(m+n)/2) is an arc iff
+    x^(m+n) + x'^(m+n) = 2 * x^m * x'^n, which x' = x always solves.  For
+    even q they are the (0, y), and (0, y) -> (0, y') iff y' = y.
+    """
+    q = F.q
+    if q % 2 == 0:
+        return 0
+    mul, sub = F.mul_table, F.sub_table
+    xm, xn = F.powers(m), F.powers(n)
+    power = [mul[a][b] for a, b in zip(xm, xn)]
+    neg = [sub[0][c] for c in power]
+    two = F.add(1, 1)
+    count = 0
+    for a, c in zip(xm, power):
+        # x^(m+n) - 2 x^m x'^n = -x'^(m+n)
+        diff, times = sub[c], mul[mul[two][a]]
+        count += sum(diff[times[b]] == d for b, d in zip(xn, neg))
+    return count - q
 
 
 def k22_formula(q: int, m: int, n: int) -> int:
@@ -119,23 +175,28 @@ def motif_census(D: Digraph, name: str) -> int:
 
     K: ordered pairs (alpha, beta) of distinct looped vertices with the arc
     alpha -> beta.  directed-K22: pairs ({u1,u2}, {w1,w2}) of 2-sets with
-    all four arcs ui -> wj; tail and head sets may overlap.  For monomial
-    digraphs directed-K22 is k22_formula; the pair scan below is its
-    brute-force twin and serves digraphs without params.
+    all four arcs ui -> wj; tail and head sets may overlap.  For a digraph
+    that build_monomial made they are k_formula and k22_formula; the scans
+    below are their twins and serve every other digraph.
     """
     if name == "K":
+        if isinstance(D, MonomialDigraph):
+            return k_formula(D.field, D.params.m, D.params.n)
         # each looped a is its own out-neighbour: subtract that one
         looped = {v for v, s in enumerate(vertex_seeds(D)) if s & 1}
         return sum(len(looped.intersection(D.adj[a])) - 1 for a in looped)
     if name == "directed-K22":
-        if D.params is not None:
+        if isinstance(D, MonomialDigraph):
             return k22_formula(D.params.q, D.params.m, D.params.n)
-        outs = [set(nbrs) for nbrs in D.adj]
+        # each out-row as a bit mask; a pair of tails with c common heads
+        # spans c(c-1)/2 copies
+        masks = [sum(1 << v for v in nbrs) for nbrs in D.adj]
         count = 0
-        for u1, u2 in combinations(range(D.n), 2):
-            common = len(outs[u1] & outs[u2])
-            count += common * (common - 1) // 2
-        return count
+        for i, a in enumerate(masks):
+            for b in masks[i + 1:]:
+                common = (a & b).bit_count()
+                count += common * (common - 1)
+        return count // 2
     raise ValueError(f"unknown motif {name!r}")
 
 
@@ -198,21 +259,31 @@ def _unpack(params):
     return q, m, n
 
 
+def field_profile(F: Field, m: int, n: int) -> InvariantProfile:
+    """The profile of D(q; m, n) from the field and the closed forms,
+    without building the digraph; profile() gives the same for the
+    digraph that build_monomial(F, m, n) makes."""
+    q = F.q
+    return InvariantProfile(*gcd_profile(q, m, n), *loop_formula(q, m, n),
+                            two_cycle_count=two_cycle_formula(q, m, n),
+                            k_motif_count=k_formula(F, m, n),
+                            k22_motif_count=k22_formula(q, m, n))
+
+
 def profile(D: Digraph, cycle_cap: int | None = None) -> InvariantProfile:
     """Full invariant profile of a monomial digraph.
 
-    The profile without cycle spectrum is computed once per digraph and
-    kept on it; later calls return it."""
+    The counts read vertex_seeds and motif_census, so a digraph that
+    build_monomial made is profiled from its field, any other from its
+    arcs.  The profile without cycle spectrum is computed once per digraph
+    and kept on it; later calls return it."""
     if D.params is None:
         raise ValueError("profile requires a monomial digraph")
     base = getattr(D, "_profile", None)
     if base is None:
         q, m, n = D.params.q, D.params.m, D.params.n
-        m_bar, n_bar, sum_bar, diff_bar = gcd_profile(q, m, n)
-        loop_total, loop_y = count_loops(D)
         base = InvariantProfile(
-            m_bar=m_bar, n_bar=n_bar, sum_bar=sum_bar, diff_bar=diff_bar,
-            loop_total=loop_total, loop_distinct_nonzero_y=loop_y,
+            *gcd_profile(q, m, n), *count_loops(D),
             two_cycle_count=two_cycle_count(D),
             k_motif_count=motif_census(D, "K"),
             k22_motif_count=motif_census(D, "directed-K22"),

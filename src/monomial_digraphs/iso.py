@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .field import Field, units_mod, lagrange_interpolate
-from .digraph import Digraph
+from .digraph import Digraph, MonomialDigraph
 from . import invariants
 
 DEFAULT_SEARCH_BUDGET = 10 ** 9
@@ -205,18 +205,60 @@ def _edge_labels(D):
     they give the refinement enough traction on these doubly regular
     digraphs; either count alone does not (with a alone D(32; 1, 2) and
     D(32; 1, 6) need a search node, with b alone D(16; 1, 2) and
-    D(16; 1, 8) need 3 nodes instead of 1).
+    D(16; 1, 8) need 3 nodes instead of 1).  A digraph that
+    build_monomial made is labelled from its field (_field_labels), any
+    other by intersecting its rows.
     """
     if getattr(D, "_iso_edge_labels", None) is None:
-        adj, radj = D.adj, D.radj
-        base = D.n + 1
-        out = []
-        for u, nbrs in enumerate(adj):
-            ou, iu = set(nbrs), set(radj[u])
-            out.append([len(ou.intersection(radj[v])) * base
-                        + len(iu.intersection(adj[v])) for v in nbrs])
+        if isinstance(D, MonomialDigraph):
+            out = _field_labels(D.field, D.params.m, D.params.n)
+        else:
+            adj, radj = D.adj, D.radj
+            base = D.n + 1
+            out = []
+            for u, nbrs in enumerate(adj):
+                ou, iu = set(nbrs), set(radj[u])
+                out.append([len(ou.intersection(radj[v])) * base
+                            + len(iu.intersection(adj[v])) for v in nbrs])
         D._iso_edge_labels = out
     return D._iso_edge_labels
+
+
+def _field_labels(F: Field, m: int, n: int):
+    """_edge_labels of D(q; m, n), from the field's tables.
+
+    A 2-path (x1, x2) -> (z1, z2) -> (y1, y2) needs
+    x2 - y2 = x1^m * z1^n - y1^n * z1^m, and each z1 that solves it fixes
+    z2.  So with T[x][y][c] = #{z : x^m * z^n - y^n * z^m = c}, made once
+    here and dropped on return, the arc (x1, x2) -> (y1, y2) has the
+    counts T[x1][y1][x2 - y2] and T[y1][x1][y2 - x2].
+    """
+    q = F.q
+    base = q * q + 1
+    mul, sub = F.mul_table, F.sub_table
+    xm, xn = F.powers(m), F.powers(n)
+    left = [[mul[a][b] for b in xn] for a in xm]        # x^m * z^n
+    right = [[mul[a][b] for b in xm] for a in xn]       # y^n * z^m
+    T = []
+    for lx in left:
+        Tx = []
+        for ry in right:
+            row = [0] * q
+            for a, b in zip(lx, ry):
+                row[sub[a][b]] += 1
+            Tx.append(row)
+        T.append(Tx)
+    out = []
+    for x1, lx in enumerate(left):
+        # column y1 holds the labels of the arcs to (y1, x1^m y1^n - x2)
+        # for x2 = 0..q-1, laid out as build_monomial lays out the heads
+        cols = []
+        for y1, s in enumerate(lx):
+            fwd, bwd = T[x1][y1], T[y1][x1]
+            cols.append([fwd[sub[x2][y2]] * base + bwd[sub[y2][x2]]
+                         for x2, y2 in enumerate(sub[s])])
+        out.extend(map(list, zip(*cols)))
+    return out
 
 
 def _refine(D1, D2, c1, c2):

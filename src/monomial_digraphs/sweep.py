@@ -3,9 +3,11 @@ prime powers, with a result cache and machine-readable reports.
 
 Within each parameter class the explicit power-map isomorphism is built and
 checked on the field (`verify_power_map`), so no class member is built as a
-digraph; across classes only canonical representatives are built and
-compared (first by invariants, then by search), since within-class
-isomorphism lifts representative-level verdicts to all members.
+digraph.  Across classes canonical representatives are compared, first by
+invariants read from the field (`invariants.field_profile`), then by
+search, since within-class isomorphism lifts representative-level verdicts
+to all members; only the representatives in pairs that reach the search
+are built.
 """
 
 import json
@@ -187,7 +189,7 @@ def sweep_one(q, *, m1_only=False, cache=None,
             hit = cache.get(q, m, n)
             if hit is not None:
                 return hit
-        prof = invariants.profile(D(m, n))
+        prof = invariants.field_profile(F, m, n)
         if cache is not None:
             cache.put(q, m, n, prof)
         return prof

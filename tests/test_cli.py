@@ -91,6 +91,17 @@ def test_too_many_vertices_is_domain_error(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_iso_makes_the_field_once(capsys, monkeypatch):
+    # both digraphs are built over one GF(q) and share its tables
+    calls = []
+    make = cli.field_for_order
+    monkeypatch.setattr(cli, "field_for_order",
+                        lambda q: calls.append(q) or make(q))
+    code, out, _ = run(capsys, "iso", "8", "1", "2", "1", "4", "--json")
+    assert code == 0 and json.loads(out)["verdict"] == "NonIso"
+    assert calls == [8]
+
+
 def test_iso_budget_exhaustion(capsys):
     code, _, err = run(capsys, "iso", "16", "3", "6", "3", "9",
                        "--budget", "10")

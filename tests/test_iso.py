@@ -312,8 +312,10 @@ _LOOPED = Digraph([[0, 1, 2], [0, 2], [1, 3], [3, 0]])
 
 
 @pytest.mark.parametrize("D", [build(8, 1, 2), build(9, 2, 5),
-                               build(16, 3, 6), _LOOPED],
-                         ids=["8-1-2", "9-2-5", "16-3-6", "looped"])
+                               build(16, 3, 6), _LOOPED,
+                               Digraph(build(9, 2, 5).adj)],
+                         ids=["8-1-2", "9-2-5", "16-3-6", "looped",
+                              "9-2-5-arcs"])
 def test_edge_labels_aligned_with_adjacency(D):
     oracle = _two_path_counts(D)
     out = iso._edge_labels(D)
