@@ -115,10 +115,13 @@ def build_monomial(field: Field, m: int, n: int) -> MonomialDigraph:
 
 
 def reverse(D: Digraph) -> Digraph:
+    """The digraph with every arc of D turned round.  The reverse of
+    D(q; m, n) is D(q; n, m) on the same ids, so a MonomialDigraph stays
+    one."""
     params = None
     if D.params is not None:
         params = MonomialParams(D.params.q, D.params.n, D.params.m)
-    return Digraph(D.radj, field=D.field, params=params)
+    return type(D)(D.radj, field=D.field, params=params)
 
 
 @dataclass(frozen=True)
@@ -136,52 +139,40 @@ def bipartite_cover(D: Digraph) -> BipartiteCover:
 def strong_components(D: Digraph):
     """Strongly connected components, ordered by smallest member id.
 
-    Iterative Tarjan; each component is a sorted list of vertex ids.
+    Kosaraju: a depth-first pass over the out-rows records the order in
+    which vertices finish; then, in reverse finishing order, each vertex
+    not yet placed collects its component by a walk over the in-rows.
+    Each component is a sorted list of vertex ids.
     """
-    index = [-1] * D.n
-    lowlink = [0] * D.n
-    on_stack = [False] * D.n
-    stack = []
-    comps = []
-    counter = 0
-
+    finished = []
+    seen = [False] * D.n
     for root in range(D.n):
-        if index[root] != -1:
+        if seen[root]:
             continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            nbrs = D.adj[v]
-            while pi < len(nbrs):
-                w = nbrs[pi]
-                pi += 1
-                if index[w] == -1:
-                    work.append((v, pi))
-                    work.append((w, 0))
-                    recurse = True
+        seen[root] = True
+        # the stack holds (vertex, iterator over its out-neighbors)
+        stack = [(root, iter(D.adj[root]))]
+        while stack:
+            for w in stack[-1][1]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(D.adj[w])))
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if recurse:
-                continue
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
+            else:
+                finished.append(stack.pop()[0])
+    placed = [False] * D.n
+    comps = []
+    for root in reversed(finished):
+        if placed[root]:
+            continue
+        placed[root] = True
+        comp = [root]
+        for v in comp:              # comp grows as the walk reaches vertices
+            for w in D.radj[v]:
+                if not placed[w]:
+                    placed[w] = True
                     comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+        comps.append(sorted(comp))
     comps.sort(key=lambda c: c[0])
     return comps
 
@@ -207,28 +198,21 @@ def diameter(D: Digraph, restrict_to_component: bool = False):
 
     Returns math.inf when some pair is unreachable and
     restrict_to_component is false; with the restriction, the max is taken
-    within strong components only.
+    within strong components only, where every distance is finite.
     """
+    comp_of = [0] * D.n
     if restrict_to_component:
-        comp_of = [0] * D.n
         for i, comp in enumerate(strong_components(D)):
             for v in comp:
                 comp_of[v] = i
-        best = 0
-        for u in range(D.n):
-            dist = _bfs_dists(D, u)
-            for v in range(D.n):
-                if comp_of[v] == comp_of[u] and dist[v] > best:
-                    best = dist[v]
-        return best
     best = 0
     for u in range(D.n):
-        dist = _bfs_dists(D, u)
-        for d in dist:
-            if d == -1:
-                return math.inf
-            if d > best:
-                best = d
+        for v, d in enumerate(_bfs_dists(D, u)):
+            if comp_of[v] == comp_of[u]:
+                if d == -1:
+                    return math.inf
+                if d > best:
+                    best = d
     return best
 
 

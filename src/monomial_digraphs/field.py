@@ -28,17 +28,13 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """Write q as p^e with p prime, or raise ValueError."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                e += 1
-            if n != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-    raise ValueError(f"{q} is not a prime power")
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    n, e = q, 0
+    while n % p == 0:
+        n, e = n // p, e + 1
+    if n != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 def gcd_bar(a: int, q: int) -> int:
@@ -78,22 +74,6 @@ def _poly_mulmod(a, b, mod, p):
     return res
 
 
-def _poly_divisible(num, den, p):
-    """True iff den divides num over GF(p); den monic, both low-first."""
-    rem = list(num)
-    dd = len(den) - 1
-    while len(rem) - 1 >= dd and any(rem):
-        _poly_trim(rem)
-        if len(rem) - 1 < dd:
-            break
-        lead = rem[-1]
-        shift = len(rem) - 1 - dd
-        for j in range(len(den)):
-            rem[shift + j] = (rem[shift + j] - lead * den[j]) % p
-        _poly_trim(rem)
-    return not any(rem)
-
-
 def _is_irreducible(poly, p):
     """Trial division by every monic polynomial of degree <= deg/2."""
     deg = len(poly) - 1
@@ -102,7 +82,7 @@ def _is_irreducible(poly, p):
     for d in range(1, deg // 2 + 1):
         for k in range(p ** d):
             den = _digits(k, p, d) + [1]
-            if _poly_divisible(poly, den, p):
+            if not _poly_mulmod(poly, [1], den, p):
                 return False
     return True
 
@@ -218,50 +198,34 @@ def make_field(p: int, e: int) -> Field:
     if q > MAX_ORDER:
         raise ValueError(f"q = {q} exceeds implementation bound {MAX_ORDER}")
 
-    modulus_low = None
-    modulus_high = ()
-    if e > 1:
-        for k in range(p ** e):
-            # digits of k read high-degree-first gives lexicographic order
-            cand = _digits(k, p, e) + [1]  # low-first, monic
-            if _is_irreducible(cand, p):
-                modulus_low = cand
-                break
-        assert modulus_low is not None
-        modulus_high = tuple(reversed(modulus_low))
+    # digits of k read high-degree-first give lexicographic order; at e = 1
+    # this finds X, which raw_mul does not need
+    monic = (_digits(k, p, e) + [1] for k in range(p ** e))
+    modulus_low = next(c for c in monic if _is_irreducible(c, p))
 
     def raw_mul(a, b):
         if e == 1:
             return (a * b) % p
-        pa = _digits(a, p, e)
-        pb = _digits(b, p, e)
-        _poly_trim(pa)
-        _poly_trim(pb)
-        res = _poly_mulmod(pa, pb, modulus_low, p)
-        return _undigits(res, p)
+        pa = _poly_trim(_digits(a, p, e))
+        pb = _poly_trim(_digits(b, p, e))
+        return _undigits(_poly_mulmod(pa, pb, modulus_low, p), p)
 
-    primitive = None
-    exp = None
+    # the walk 1, g, g^2, ... back to 1 is the exp table of g
     for g in range(1, q):
-        seen = [g]
+        exp = [1]
         x = g
-        while True:
+        while x != 1:
+            exp.append(x)
             x = raw_mul(x, g)
-            if x == g:
-                break
-            seen.append(x)
-        if len(seen) == q - 1:
-            primitive = g
-            # seen starts at g = g^1; rotate so exp[0] = 1
-            exp = [seen[-1]] + seen[:-1]
+        if len(exp) == q - 1:
             break
-    assert primitive is not None
 
     log = [0] * q
     for i, x in enumerate(exp):
         log[x] = i
 
-    return Field(p=p, e=e, q=q, modulus=modulus_high, primitive=primitive,
+    modulus = tuple(reversed(modulus_low)) if e > 1 else ()
+    return Field(p=p, e=e, q=q, modulus=modulus, primitive=g,
                  exp=tuple(exp), log=tuple(log))
 
 

@@ -315,7 +315,8 @@ def iso_search(D1: Digraph, D2: Digraph,
                budget: int = DEFAULT_SEARCH_BUDGET) -> IsoCertificate:
     """Decide isomorphism with a verifiable certificate.
 
-    Invariant filters first, then color refinement of the root from the
+    Invariant filters first, when both are MonomialDigraphs, whose params
+    describe their arcs; then color refinement of the root from the
     invariants.vertex_seeds entries, then complete
     individualization-refinement backtracking.  When D2 is a monomial
     digraph, the search skips a candidate that a known automorphism of D2
@@ -330,7 +331,7 @@ def iso_search(D1: Digraph, D2: Digraph,
     if D1.n != D2.n:
         raise ValueError("digraphs must have equal vertex counts")
 
-    if D1.params is not None and D2.params is not None:
+    if isinstance(D1, MonomialDigraph) and isinstance(D2, MonomialDigraph):
         filt = invariants.necessary_filter(D1.params, D2.params)
         if not filt.passed:
             return IsoCertificate("NonIso", witness=filt.failed_condition,

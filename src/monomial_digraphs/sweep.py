@@ -13,7 +13,7 @@ are built.
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 from .field import make_field, factor_prime_power
 from .digraph import build_monomial, check_order
@@ -38,16 +38,8 @@ class SweepReport:
     wall_time: float = 0.0      # not in as_dict(), which is byte-stable
 
     def as_dict(self):
-        return {
-            "q": self.q,
-            "class_count": self.class_count,
-            "within_class_checks": self.within_class_checks,
-            "cross_class_pairs": self.cross_class_pairs,
-            "resolved_by_invariant": self.resolved_by_invariant,
-            "resolved_by_search": self.resolved_by_search,
-            "undecided": self.undecided,
-            "counterexamples": self.counterexamples,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "wall_time"}
 
 
 def prime_powers(q_min: int, q_max: int):

@@ -6,6 +6,7 @@ import pytest
 
 from monomial_digraphs.field import field_for_order
 from monomial_digraphs.digraph import (MonomialParams, Digraph,
+                                       MonomialDigraph,
                                        build_monomial, reverse,
                                        bipartite_cover, strong_components,
                                        diameter, count_cycles_by_length,
@@ -115,6 +116,15 @@ def test_reverse_is_involution_and_preserves_loops():
     assert loops == {v for v in range(R.n) if R.has_arc(v, v)}
 
 
+def test_reverse_keeps_provenance():
+    # the reverse of D(q; m, n) is D(q; n, m), so it may be counted from
+    # the field; a hand-built digraph stays one
+    D = build(5, 2, 3)
+    assert isinstance(reverse(D), MonomialDigraph)
+    hand = Digraph(D.adj, field=D.field, params=D.params)
+    assert type(reverse(hand)) is Digraph
+
+
 def test_bipartite_cover():
     D = build(3, 1, 2)
     cover = bipartite_cover(D)
@@ -163,12 +173,49 @@ def test_d211_is_strong():
     assert strong_components(D) == [[0, 1, 2, 3]]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+# every (m, n) at q <= 5, and the digraphs at q = 8, 9 with several
+# strong components: D(8; 7, 7) has 4, the others 2 each
+ORACLE_INPUTS = {q: [(m, n) for m in range(1, q) for n in range(1, q)]
+                 for q in (2, 3, 4, 5)}
+ORACLE_INPUTS[8] = [(7, 7)]
+ORACLE_INPUTS[9] = [(4, 4), (4, 8), (8, 4), (8, 8)]
+
+
+@pytest.mark.parametrize("q", sorted(ORACLE_INPUTS))
 def test_strong_components_against_closure_oracle(q):
-    for m in range(1, q):
-        for n in range(1, q):
-            D = build(q, m, n)
-            assert strong_components(D) == _scc_oracle(D)
+    for m, n in ORACLE_INPUTS[q]:
+        D = build(q, m, n)
+        assert strong_components(D) == _scc_oracle(D)
+
+
+def _component_diameter_oracle(D, comps):
+    """Max distance over ordered pairs within each component, by a BFS
+    that never leaves the component."""
+    best = 0
+    for comp in comps:
+        inside = set(comp)
+        for u in comp:
+            dist = {u: 0}
+            frontier = [u]
+            while frontier:
+                nxt = []
+                for w in frontier:
+                    for v in D.adj[w]:
+                        if v in inside and v not in dist:
+                            dist[v] = dist[w] + 1
+                            nxt.append(v)
+                frontier = nxt
+            assert len(dist) == len(comp)
+            best = max(best, max(dist.values()))
+    return best
+
+
+@pytest.mark.parametrize("q", sorted(ORACLE_INPUTS))
+def test_component_diameter_against_closure_oracle(q):
+    for m, n in ORACLE_INPUTS[q]:
+        D = build(q, m, n)
+        expected = _component_diameter_oracle(D, _scc_oracle(D))
+        assert diameter(D, restrict_to_component=True) == expected
 
 
 def test_strong_components_two_loops():

@@ -517,6 +517,16 @@ def test_mismatched_params_fall_back_to_unpruned_search():
     assert cert.mapping == iso_search(Digraph(D.adj), Digraph(D.adj)).mapping
 
 
+def test_params_that_do_not_describe_the_arcs_filter_nothing():
+    # params (8, 1, 1) fail the gcd filter against (8, 1, 2), but only
+    # build_monomial vouches for params, and the two arc sets are equal
+    D = build(8, 1, 2)
+    W = Digraph(D.adj, field=D.field, params=MonomialParams(8, 1, 1))
+    cert = iso_search(D, W)
+    assert cert.verdict == "Iso"
+    assert verify_mapping(D, W, list(cert.mapping))
+
+
 def test_branching_search_leaves_no_reference_cycle():
     # with the cyclic collector off, only reference counting can free D1
     D1, D2 = build(16, 1, 2), build(16, 1, 8)

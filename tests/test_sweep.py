@@ -1,11 +1,16 @@
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from monomial_digraphs.iso import IsoCertificate
 from monomial_digraphs.sweep import (SweepReport, ProfileCache, prime_powers,
                                      sweep, sweep_one)
+
+# the package exports the function sweep under the module's name
+sweep_mod = importlib.import_module("monomial_digraphs.sweep")
 
 
 def test_prime_powers():
@@ -73,6 +78,28 @@ def test_iso_sink_collects_within_class_maps():
     assert len(sink) == 6
     for rec in sink:
         assert rec["q"] == 5 and len(rec["mapping"]) == 25
+
+
+def test_counterexample_is_reported_and_sunk(monkeypatch):
+    # no q = 8 pair is isomorphic, so a stub certifies one that reaches
+    # the search; the other five still get the real search
+    real = sweep_mod.iso_search
+    fake = IsoCertificate("Iso", mapping=tuple(range(64)))
+
+    def stub(D1, D2, **kw):
+        pair = (D1.params.m, D1.params.n), (D2.params.m, D2.params.n)
+        if pair == ((1, 2), (1, 4)):
+            return fake
+        return real(D1, D2, **kw)
+
+    monkeypatch.setattr(sweep_mod, "iso_search", stub)
+    sink = []
+    r = sweep_one(8, iso_sink=sink)
+    assert r.counterexamples == [{"pair1": [1, 2], "pair2": [1, 4]}]
+    assert r.resolved_by_search == 5 and r.undecided == 0
+    cross = [rec for rec in sink if rec["source"] == (1, 2)]
+    assert cross == [{"q": 8, "source": (1, 2), "target": (1, 4),
+                      "mapping": list(range(64))}]
 
 
 def test_cache_roundtrip(tmp_path):
