@@ -7,6 +7,8 @@ that returns checkable certificates.
 
 import time
 from collections import Counter
+from itertools import count
+from operator import add
 from dataclasses import dataclass
 
 from .field import Field, units_mod, lagrange_interpolate
@@ -90,20 +92,31 @@ def _known_automorphisms(D: Digraph):
     when p = 2 (a shift of both second coordinates leaves x2 + y2 alone in
     characteristic 2), t = 0 otherwise.
 
-    Returns (elements, apply): the (c, j, t) triples, identity first, which
-    form a group of order (q-1)*e*(q if p = 2 else 1), and apply(g, v), the
-    image of vertex id v under g.  Elements are applied from their
-    parameters; no permutation list is kept.  Every element is a product
-    of the generators psi at the primitive element, Frob when e > 1 and
-    the shifts by p^i when p = 2, which are checked with verify_mapping on
-    D itself, since params need not describe the arcs.  Returns None when
-    a generator fails that check or D carries no field or params.
+    Returns (elements, apply): the range of the element numbers
+    g = ((c - 1) * e + j) * s + t, with s = q if p = 2 and s = 1
+    otherwise, identity first, which form a group of order (q-1)*e*s, and
+    apply(g, v), the image of vertex id v under g.  Elements are applied
+    from their parameters; no permutation list is kept.  Every element is
+    a product of the generators psi at the primitive element, Frob when
+    e > 1 and the shifts by p^i when p = 2, which are checked with
+    verify_mapping on D itself, since params need not describe the arcs.
+    Returns None when a generator fails that check or D carries no field
+    or params.  The result is made once per digraph and kept on it, so
+    the generator checks run once however many searches D takes part in.
     """
+    if not hasattr(D, "_iso_automorphisms"):
+        D._iso_automorphisms = _automorphism_family(D)
+    return D._iso_automorphisms
+
+
+def _automorphism_family(D: Digraph):
+    """_known_automorphisms(D), made afresh."""
     F, P = D.field, D.params
     if F is None or P is None or F.q != P.q or D.n != F.q * F.q:
         return None
     q, p, e = F.q, F.p, F.e
     frob = [[F.pow(x, p ** j) for x in range(q)] for j in range(e)]
+    s = q if p == 2 else 1
     xs, ys = [], []                     # indexed by (c - 1) * e + j
     for c in range(1, q):
         cs = F.pow(c, P.m + P.n)
@@ -112,23 +125,19 @@ def _known_automorphisms(D: Digraph):
             ys.append([F.mul(cs, a) for a in frob[j]])
 
     def apply(g, v):
-        c, j, t = g
-        k = (c - 1) * e + j
+        k, t = divmod(g, s)
         # t is 0 unless p = 2, where addition of ids is XOR
         return xs[k][v // q] * q + (ys[k][v % q] ^ t)
 
-    shifts = range(q) if p == 2 else (0,)
-    gens = [(F.primitive, 0, 0)]
+    gens = [(F.primitive - 1) * e * s]
     if e > 1:
-        gens.append((1, 1, 0))
+        gens.append(s)                  # c = 1, j = 1
     if p == 2:
-        gens.extend((1, 0, p ** i) for i in range(e))
+        gens.extend(p ** i for i in range(e))
     for g in gens:
         if not verify_mapping(D, D, [apply(g, v) for v in range(D.n)]):
             return None
-    elements = [(c, j, t) for c in range(1, q) for j in range(e)
-                for t in shifts]
-    return elements, apply
+    return range((q - 1) * e * s), apply
 
 
 def compose(outer, inner):
@@ -261,34 +270,48 @@ def _field_labels(F: Field, m: int, n: int):
     return out
 
 
-def _refine(D1, D2, c1, c2):
+def _signatures(D, colors):
+    """Each vertex's signature: its colour and the sorted (colour, label)
+    pairs of its out-arcs, each pair packed into one int, colour * S +
+    label.  Every label a * (n + 1) + b has a, b <= n, so it is below
+    S = (n + 1) ** 2 and the packing is injective."""
+    S = (D.n + 1) ** 2
+    shifted = [c * S for c in colors]
+    get = shifted.__getitem__
+    for c, nbrs, labels in zip(colors, D.adj, _edge_labels(D)):
+        yield c, tuple(sorted(map(add, map(get, nbrs), labels)))
+
+
+def _refine(D1, D2, c1, c2, rounds=None):
     """Jointly refine colorings until stable.
 
     A vertex's signature is its colour and the multiset of (colour,
-    label) over its out-arcs.  A second multiset over its in-arcs changed
-    no certificate in the sweeps up to q = 49, so it is left out.
+    label) over its out-arcs (see _signatures).  A second multiset over
+    its in-arcs changed no certificate in the sweeps up to q = 49, so it
+    is left out.  Each round numbers D1's signatures first, by first
+    appearance, so D1's new colours never depend on D2: a round of D1 is
+    its table (signature -> colour), its new colouring and that
+    colouring's histogram, all fixed by c1 alone.  D2's vertices only
+    look their signatures up in that table; one missing from it gets
+    colour None, which the histogram check rejects.  `rounds` is the list
+    of D1's rounds from c1, filled as far as a call needs it, so that
+    calls with the same c1 share it; by default it is made afresh.
     Returns refined (c1, c2), or None when the color histograms of the
     two digraphs separate (certain non-isomorphism under the current
     individualizations).
     """
-    n = D1.n
+    if rounds is None:
+        rounds = []
     ncolors = len(set(c1) | set(c2))
-    while True:
-        table = {}
-        new1 = [0] * n
-        new2 = [0] * n
-        for colors, new, D in ((c1, new1, D1), (c2, new2, D2)):
-            adj, out = D.adj, _edge_labels(D)
-            for v in range(n):
-                sig = (colors[v],
-                       tuple(sorted(zip([colors[w] for w in adj[v]],
-                                        out[v]))))
-                cid = table.get(sig)
-                if cid is None:
-                    cid = len(table)
-                    table[sig] = cid
-                new[v] = cid
-        if Counter(new1) != Counter(new2):
+    for r in count():
+        if r == len(rounds):
+            table = {}
+            new1 = [table.setdefault(sig, len(table))
+                    for sig in _signatures(D1, c1)]
+            rounds.append((table, new1, Counter(new1)))
+        table, new1, hist1 = rounds[r]
+        new2 = list(map(table.get, _signatures(D2, c2)))
+        if Counter(new2) != hist1:
             return None
         if len(table) == ncolors:
             return new1, new2
@@ -351,11 +374,13 @@ def iso_search(D1: Digraph, D2: Digraph,
     group = _known_automorphisms(D2) if len(set(root[0])) < D1.n else None
     stab, apply = group or ([], None)
     nodes = 0
-    # One frame per individualized vertex v of D1: the refined, unseparated
-    # colourings (c1, c2) it branches from, `stab`, the pointwise
-    # stabilizer within the known automorphisms of D2 of the D2 vertices
-    # individualized above it, the fresh colour, the candidates w in D2
-    # not yet taken and the `tried` orbits of those already taken.
+    # One frame per individualized vertex v of D1: n1, the refined
+    # colouring of D1 with v given the fresh colour, the refined colouring
+    # c2 of D2 it branches from, `stab`, the pointwise stabilizer within
+    # the known automorphisms of D2 of the D2 vertices individualized
+    # above it, the fresh colour, the candidates w in D2 not yet taken,
+    # the `tried` orbits of those already taken and D1's refinement rounds
+    # from n1, which every candidate shares (see _refine).
     stack = []
     node = (*root, stab)            # refined colourings still to expand
     while True:
@@ -375,13 +400,16 @@ def iso_search(D1: Digraph, D2: Digraph,
                 color = min((c for c, vs in classes1.items() if len(vs) > 1),
                             key=lambda c: (len(classes1[c]), classes1[c][0]))
                 # refined colours are 0 .. len(classes1) - 1
-                stack.append((c1, c2, stab, classes1[color][0],
-                              len(classes1), iter(classes2[color]), set()))
+                fresh = len(classes1)
+                n1 = list(c1)
+                n1[classes1[color][0]] = fresh
+                stack.append((n1, c2, stab, fresh, iter(classes2[color]),
+                              set(), []))
         if not stack:
             return IsoCertificate("NonIso", witness="search-exhausted",
                                   nodes=nodes,
                                   seconds=time.perf_counter() - t0)
-        c1, c2, stab, v, fresh, candidates, tried = stack[-1]
+        n1, c2, stab, fresh, candidates, tried, rounds = stack[-1]
         w = next(candidates, None)
         if w is None:
             stack.pop()
@@ -395,12 +423,13 @@ def iso_search(D1: Digraph, D2: Digraph,
         # isomorphism iff v -> g(w) does: once w fails, its orbit is skipped.
         # The orbit is recorded now and read only after w has failed.
         tried.update(apply(g, w) for g in stab)
-        n1 = list(c1)
         n2 = list(c2)
-        n1[v] = fresh
         n2[w] = fresh
-        refined = _refine(D1, D2, n1, n2)
+        refined = _refine(D1, D2, n1, n2, rounds)
         if refined is not None:
+            # descend; kept for every frame on the stack, the rounds would
+            # hold several colour tables per level
+            rounds.clear()
             node = (*refined, [g for g in stab if apply(g, w) == w])
 
 

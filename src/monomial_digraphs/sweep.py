@@ -7,7 +7,7 @@ digraph.  Across classes canonical representatives are compared, first by
 invariants read from the field (`invariants.field_profile`), then by
 search, since within-class isomorphism lifts representative-level verdicts
 to all members; only the representatives in pairs that reach the search
-are built.
+are built, and each is dropped after the last search it takes part in.
 """
 
 import json
@@ -187,6 +187,7 @@ def sweep_one(q, *, m1_only=False, cache=None,
         return prof
 
     reps = [cls.canonical_rep for cls in classes]
+    searching = []                      # the pairs left to iso_search
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             report.cross_class_pairs += 1
@@ -201,20 +202,27 @@ def sweep_one(q, *, m1_only=False, cache=None,
             if invariants.separating_field(prof_i, prof_j) is not None:
                 report.resolved_by_invariant += 1
                 continue
-            try:
-                cert = iso_search(D(*reps[i]), D(*reps[j]), budget=budget)
-            except UndecidedError:
-                report.undecided += 1
-                continue
+            searching.append((reps[i], reps[j]))
+
+    # a representative's digraph is dropped after the last pair it is in
+    last = {rep: k for k, pair in enumerate(searching) for rep in pair}
+    for k, (a, b) in enumerate(searching):
+        try:
+            cert = iso_search(D(*a), D(*b), budget=budget)
+        except UndecidedError:
+            report.undecided += 1
+        else:
             if cert.verdict == "NonIso":
                 report.resolved_by_search += 1
             else:
-                report.counterexamples.append(
-                    {"pair1": list(reps[i]), "pair2": list(reps[j])})
+                report.counterexamples.append({"pair1": list(a),
+                                               "pair2": list(b)})
                 if iso_sink is not None:
-                    iso_sink.append({"q": q, "source": reps[i],
-                                     "target": reps[j],
+                    iso_sink.append({"q": q, "source": a, "target": b,
                                      "mapping": list(cert.mapping)})
+        for rep in (a, b):
+            if last[rep] == k:
+                del digraphs[rep]
 
     report.wall_time = time.perf_counter() - t0
     return report

@@ -247,6 +247,25 @@ def test_group_is_built_only_when_the_root_branches(monkeypatch):
     assert calls["_known_automorphisms"] == 1
 
 
+def test_automorphisms_are_built_once_per_digraph(monkeypatch):
+    calls = []
+    family = iso._automorphism_family
+
+    def counting(D):
+        calls.append(D)
+        return family(D)
+
+    monkeypatch.setattr(iso, "_automorphism_family", counting)
+    D2 = build(16, 3, 9)
+    assert iso_search(build(16, 3, 6), D2).nodes == 42
+    assert iso_search(build(16, 3, 6), D2).nodes == 42
+    assert calls == [D2]
+    wrong = Digraph(D2.adj, field=D2.field, params=MonomialParams(16, 1, 2))
+    assert iso._known_automorphisms(wrong) is None
+    assert iso._known_automorphisms(wrong) is None
+    assert calls == [D2, wrong]
+
+
 def test_deep_search_runs_past_the_recursion_limit():
     # refinement cannot split isolated vertices, so the search
     # individualizes them one by one, 299 levels deep; the search keeps
@@ -351,10 +370,11 @@ def _four_count_labels(D):
     return D._four_count_labels
 
 
-def _two_sided_refine(D1, D2, c1, c2):
+def _two_sided_refine(D1, D2, c1, c2, rounds=None):
     """Reference refinement, patched in with _four_count_labels as
     iso._edge_labels: each signature also holds the multiset of (colour,
-    label) over the in-arcs, read from the (out, in) label lists."""
+    label) over the in-arcs, read from the (out, in) label lists.  It
+    ignores `rounds` and refines both digraphs afresh at every call."""
     n = D1.n
     lab1 = iso._edge_labels(D1)
     lab2 = iso._edge_labels(D2)
@@ -383,6 +403,85 @@ def _two_sided_refine(D1, D2, c1, c2):
             return new1, new2
         ncolors = len(table)
         c1, c2 = new1, new2
+
+
+def _tuple_refine(D1, D2, c1, c2):
+    """Reference refinement: out-arc signatures as tuples of (colour,
+    label) pairs, both digraphs numbered into one table every round."""
+    n = D1.n
+    ncolors = len(set(c1) | set(c2))
+    while True:
+        table = {}
+        new1 = [0] * n
+        new2 = [0] * n
+        for colors, new, D in ((c1, new1, D1), (c2, new2, D2)):
+            adj, out = D.adj, iso._edge_labels(D)
+            for v in range(n):
+                sig = (colors[v],
+                       tuple(sorted(zip([colors[w] for w in adj[v]],
+                                        out[v]))))
+                cid = table.get(sig)
+                if cid is None:
+                    cid = len(table)
+                    table[sig] = cid
+                new[v] = cid
+        if Counter(new1) != Counter(new2):
+            return None
+        if len(table) == ncolors:
+            return new1, new2
+        ncolors = len(table)
+        c1, c2 = new1, new2
+
+
+@pytest.mark.parametrize("pair2", [(3, 9), (6, 12)])
+def test_shared_rounds_match_tuple_refinement(pair2):
+    # at the root frame of D(16; 3, 6) vs D(16; pair2) every candidate w
+    # refines from the same n1, so all of them share one list of D1's
+    # rounds; each result must be what the tuple-signature refinement
+    # gives from scratch
+    D1, D2 = build(16, 3, 6), build(16, *pair2)
+    seeds1 = iso.invariants.vertex_seeds(D1)
+    seeds2 = iso.invariants.vertex_seeds(D2)
+    root = iso._refine(D1, D2, seeds1, seeds2)
+    assert root == _tuple_refine(D1, D2, seeds1, seeds2)
+    c1, c2 = root
+    classes1 = iso._classes_by_color(c1)
+    color = min((c for c, vs in classes1.items() if len(vs) > 1),
+                key=lambda c: (len(classes1[c]), classes1[c][0]))
+    fresh = len(classes1)
+    n1 = list(c1)
+    n1[classes1[color][0]] = fresh
+    rounds = []
+    results = []
+    for w in iso._classes_by_color(c2)[color]:
+        n2 = list(c2)
+        n2[w] = fresh
+        got = iso._refine(D1, D2, n1, n2, rounds)
+        assert got == _tuple_refine(D1, D2, n1, n2), w
+        results.append(got)
+    assert len(results) > 1 and rounds
+    assert any(r is not None for r in results)
+
+
+def test_search_refinements_match_tuple_refinement(monkeypatch):
+    # every refinement of the 42-node search of D(16; 3, 6) vs
+    # D(16; 3, 9), with the rounds each frame shares among its candidates
+    # and clears on descent, against the tuple-signature refinement from
+    # scratch; 24 of its calls reuse rounds and are separated
+    refine = iso._refine
+    outcomes = Counter()
+
+    def checked(D1, D2, c1, c2, rounds=None):
+        reused = bool(rounds)
+        got = refine(D1, D2, c1, c2, rounds)
+        assert got == _tuple_refine(D1, D2, c1, c2)
+        outcomes[got is None, reused] += 1
+        return got
+
+    monkeypatch.setattr(iso, "_refine", checked)
+    assert iso_search(build(16, 3, 6), build(16, 3, 9)).nodes == 42
+    assert outcomes == {(False, False): 13, (True, False): 6,
+                        (True, True): 24}
 
 
 def test_two_count_labels_match_four_count_reference(monkeypatch):

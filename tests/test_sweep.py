@@ -171,3 +171,41 @@ def test_report_dict_key_order():
     assert keys == ["q", "class_count", "within_class_checks",
                     "cross_class_pairs", "resolved_by_invariant",
                     "resolved_by_search", "undecided", "counterexamples"]
+
+
+def test_representatives_are_dropped_after_their_last_search(monkeypatch):
+    # at q = 8 six pairs reach the search; at each one, every digraph
+    # still alive must take part in it or in a later pair
+    import gc
+    import weakref
+    real_build, real_search = sweep_mod.build_monomial, sweep_mod.iso_search
+    built = {}
+    pairs = []
+    alive = []
+
+    def build(F, m, n):
+        D = real_build(F, m, n)
+        built[(m, n)] = weakref.ref(D)
+        return D
+
+    def search(D1, D2, **kw):
+        pairs.append({(D1.params.m, D1.params.n),
+                      (D2.params.m, D2.params.n)})
+        alive.append({rep for rep, ref in built.items()
+                      if ref() is not None})
+        return real_search(D1, D2, **kw)
+
+    monkeypatch.setattr(sweep_mod, "build_monomial", build)
+    monkeypatch.setattr(sweep_mod, "iso_search", search)
+    enabled = gc.isenabled()
+    gc.disable()            # only reference counting may free them
+    try:
+        report = sweep_one(8)
+        assert not any(ref() for ref in built.values())
+    finally:
+        if enabled:
+            gc.enable()
+    assert report.resolved_by_search == 6 and len(pairs) == 6
+    for k, live in enumerate(alive):
+        assert live <= set().union(*pairs[k:]), k
+    assert len(alive[-1]) == 2
