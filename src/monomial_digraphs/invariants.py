@@ -88,18 +88,26 @@ def _field_seeds(F: Field, m: int, n: int):
 
     (x1, x2) -> (y1, y2) -> (x1, x2) iff x1^m * y1^n = y1^m * x1^n and
     y2 = x1^m * y1^n - x2, so the mutual(x1) elements y1 that solve the
-    first equation give as many mutual neighbours of each (x1, x2).  One
-    of them, y1 = x1, is the vertex itself exactly when it is looped, that
-    is when 2 * x2 = x1^(m+n).
+    first equation give as many mutual neighbours of each (x1, x2).  Every
+    y1 solves it when x1 = 0; for x1 != 0, y1 = x1 * u solves it iff
+    u^m = u^n, so mutual(x1) is the same count M for every such x1 (the
+    automorphisms psi_c of D(q; m, n) carry x1 to c * x1).  One of the
+    mutual neighbours, y1 = x1, is the vertex itself exactly when it is
+    looped, that is when 2 * x2 = x1^(m+n).
     """
+    q = F.q
     mul, sub = F.mul_table, F.sub_table
     xm, xn = F.powers(m), F.powers(n)
-    twice = [row[sub[0][a]] for a, row in enumerate(sub)]    # a + a
+    M = sum(a == b for a, b in zip(xm, xn))
+    halves = {}                                 # a -> the t with t + t = a
+    for t, row in enumerate(sub):
+        halves.setdefault(row[sub[0][t]], []).append(t)
     seeds = []
-    for a, b in zip(xm, xn):
-        mutual = sum(mul[a][yn] == mul[ym][b] for ym, yn in zip(xm, xn))
-        power = mul[a][b]
-        seeds.extend(2 * mutual - (t == power) for t in twice)
+    for x1, (a, b) in enumerate(zip(xm, xn)):
+        row = [2 * (M if x1 else q)] * q
+        for t in halves.get(mul[a][b], ()):
+            row[t] -= 1
+        seeds.extend(row)
     return seeds
 
 
@@ -134,23 +142,20 @@ def k_formula(F: Field, m: int, n: int) -> int:
 
     For odd q the looped vertices are (x, x^(m+n)/2), one per x, and
     (x, x^(m+n)/2) -> (x', x'^(m+n)/2) is an arc iff
-    x^(m+n) + x'^(m+n) = 2 * x^m * x'^n, which x' = x always solves.  For
-    even q they are the (0, y), and (0, y) -> (0, y') iff y' = y.
+    x^(m+n) + x'^(m+n) = 2 * x^m * x'^n.  With x = 0 only x' = 0 solves
+    it; with x != 0 and x' = x * u it reads 1 + u^(m+n) = 2 * u^n, which
+    u = 1 (x' = x) always solves.  So K = (q - 1) * (#{u : 1 + u^(m+n) =
+    2 * u^n} - 1).  For even q the looped vertices are the (0, y), and
+    (0, y) -> (0, y') iff y' = y.
     """
     q = F.q
     if q % 2 == 0:
         return 0
-    mul, sub = F.mul_table, F.sub_table
+    mul = F.mul_table
     xm, xn = F.powers(m), F.powers(n)
-    power = [mul[a][b] for a, b in zip(xm, xn)]
-    neg = [sub[0][c] for c in power]
-    two = F.add(1, 1)
-    count = 0
-    for a, c in zip(xm, power):
-        # x^(m+n) - 2 x^m x'^n = -x'^(m+n)
-        diff, times = sub[c], mul[mul[two][a]]
-        count += sum(diff[times[b]] == d for b, d in zip(xn, neg))
-    return count - q
+    two = mul[F.add(1, 1)]
+    solutions = sum(F.add(1, mul[a][b]) == two[b] for a, b in zip(xm, xn))
+    return (q - 1) * (solutions - 1)
 
 
 def k22_formula(q: int, m: int, n: int) -> int:

@@ -8,7 +8,7 @@ that returns checkable certificates.
 import time
 from collections import Counter
 from itertools import count
-from operator import add
+from operator import add, itemgetter
 from dataclasses import dataclass
 
 from .field import Field, units_mod, lagrange_interpolate
@@ -238,9 +238,15 @@ def _field_labels(F: Field, m: int, n: int):
 
     A 2-path (x1, x2) -> (z1, z2) -> (y1, y2) needs
     x2 - y2 = x1^m * z1^n - y1^n * z1^m, and each z1 that solves it fixes
-    z2.  So with T[x][y][c] = #{z : x^m * z^n - y^n * z^m = c}, made once
-    here and dropped on return, the arc (x1, x2) -> (y1, y2) has the
-    counts T[x1][y1][x2 - y2] and T[y1][x1][y2 - x2].
+    z2.  So with T[x][y][c] = #{z : x^m * z^n - y^n * z^m = c}, the arc
+    (x1, x2) -> (y1, y2) has the counts T[x1][y1][x2 - y2] and
+    T[y1][x1][y2 - x2].  Only the vertices (0, t) and (1, t) are labelled
+    from T, so only its rows T[x][y] and T[y][x] for x in {0, 1} are
+    made.  Every other vertex (x1, x2) is the image of (1, t), with
+    t = x2 * x1^-(m+n), under the automorphism psi_x1 (psi_automorphism),
+    which carries the head (y1 / x1, .) of (1, t) to the head (y1, .) of
+    (x1, x2) and keeps labels; so its row is that of (1, t) read through
+    y1 -> y1 / x1.
     """
     q = F.q
     base = q * q + 1
@@ -248,25 +254,30 @@ def _field_labels(F: Field, m: int, n: int):
     xm, xn = F.powers(m), F.powers(n)
     left = [[mul[a][b] for b in xn] for a in xm]        # x^m * z^n
     right = [[mul[a][b] for b in xm] for a in xn]       # y^n * z^m
-    T = []
-    for lx in left:
-        Tx = []
-        for ry in right:
-            row = [0] * q
-            for a, b in zip(lx, ry):
-                row[sub[a][b]] += 1
-            Tx.append(row)
-        T.append(Tx)
+
+    def T(x, y):
+        row = [0] * q
+        for a, b in zip(left[x], right[y]):
+            row[sub[a][b]] += 1
+        return row
+
     out = []
-    for x1, lx in enumerate(left):
+    for x1 in (0, 1):
         # column y1 holds the labels of the arcs to (y1, x1^m y1^n - x2)
         # for x2 = 0..q-1, laid out as build_monomial lays out the heads
         cols = []
-        for y1, s in enumerate(lx):
-            fwd, bwd = T[x1][y1], T[y1][x1]
+        for y1, s in enumerate(left[x1]):
+            fwd, bwd = T(x1, y1), T(y1, x1)
             cols.append([fwd[sub[x2][y2]] * base + bwd[sub[y2][x2]]
                          for x2, y2 in enumerate(sub[s])])
         out.extend(map(list, zip(*cols)))
+    ones = out[q:]                                      # rows of (1, t)
+    for x1 in range(2, q):
+        inv = F.inv(x1)
+        # q >= 3 here, so the getter returns a tuple
+        read = itemgetter(*mul[inv])                    # y1 -> y1 / x1
+        out.extend([list(read(ones[t]))
+                    for t in mul[F.pow(inv, m + n)]])   # x2 / x1^(m+n)
     return out
 
 
