@@ -107,8 +107,8 @@ class Field:
     """GF(p^e) with deterministic modulus and exp/log tables.
 
     Immutable after construction; safe to share across workers.  The q x q
-    tables `mul_table` and `sub_table` are made on first use and kept, so
-    every digraph built over one Field shares them.
+    tables `mul_table`, `sub_table` and `power_table` are made on first use
+    and kept, so every digraph built over one Field shares them.
     """
 
     p: int
@@ -181,6 +181,14 @@ class Field:
         """sub_table[a][b] = a - b."""
         return [[self.sub(a, b) for b in range(self.q)]
                 for a in range(self.q)]
+
+    @cached_property
+    def power_table(self):
+        """power_table[k] = [x^k for x in GF(q)] for 1 <= k <= q-1; row 0
+        is None, since 0^0 is not defined here."""
+        q1, exp, log = self.q - 1, self.exp, self.log
+        return [None] + [[0] + [exp[k * log[x] % q1] for x in range(1, self.q)]
+                         for k in range(1, self.q)]
 
 
 def make_field(p: int, e: int) -> Field:

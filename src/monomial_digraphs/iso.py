@@ -5,6 +5,7 @@ filters, and a complete individualization-refinement backtracking search
 that returns checkable certificates.
 """
 
+import math
 import time
 from collections import Counter
 from itertools import count
@@ -60,8 +61,9 @@ def _norm_exponent(a: int, q: int) -> int:
 
 def explicit_iso(q: int, m1: int, n1: int, m2: int, n2: int):
     """Smallest unit k with k*m1 = m2 and k*n1 = n2 mod (q-1), or None."""
-    for k in units_mod(q - 1):
-        if (k * m1 - m2) % (q - 1) == 0 and (k * n1 - n2) % (q - 1) == 0:
+    for k in range(1, q):
+        if ((k * m1 - m2) % (q - 1) == 0 and (k * n1 - n2) % (q - 1) == 0
+                and math.gcd(k, q - 1) == 1):
             return k
     return None
 
@@ -165,23 +167,34 @@ def verify_mapping(D1: Digraph, D2: Digraph, mapping) -> bool:
 def verify_power_map(F: Field, mapping, source, target) -> bool:
     """True iff mapping is (x, y) -> (a(x), y) for a permutation a of
     GF(q) with a(x)^m2 = x^m1 and a(x)^n2 = x^n1, where source = (m1, n1)
-    and target = (m2, n2).
+    and target = (m2, n2), all four exponents >= 1.
 
     Then x2 + y2 = x1^m1 * y1^n1 exactly when
     x2 + y2 = a(x1)^m2 * a(y1)^n2, so the map carries D(q; m1, n1) onto
-    D(q; m2, n2): the guarantee of verify_mapping on the built digraphs,
-    from q^2 compares and 4q powers.
+    D(q; m2, n2): the guarantee of verify_mapping on the built digraphs.
+    mapping is either the q^2-entry vertex map, whose product form is
+    checked by q^2 compares, or its first-coordinate map a itself (q
+    entries), when the product form is known.  Either way a is then
+    checked by three list compares against rows of F.power_table.
     """
     q = F.q
-    if len(mapping) != q * q:
-        raise ValueError("mapping must cover all q^2 vertices")
-    (m1, n1), (m2, n2) = source, target
-    a = [mapping[x * q] // q for x in range(q)]
+    if len(mapping) not in (q, q * q):
+        raise ValueError("mapping must cover all q^2 vertices or all q "
+                         "first coordinates")
+    exponents = (*source, *target)
+    if min(exponents) < 1:
+        raise ValueError("exponents must be >= 1")
+    if len(mapping) == q:
+        a = list(mapping)
+    else:
+        a = [mapping[x * q] // q for x in range(q)]
+        if list(mapping) != [ax * q + y for ax in a for y in range(q)]:
+            return False
+    pm1, pn1, pm2, pn2 = (F.power_table[_norm_exponent(e, q)]
+                          for e in exponents)
     return (sorted(a) == list(range(q))
-            and list(mapping) == [ax * q + y for ax in a for y in range(q)]
-            and all(F.pow(ax, m2) == F.pow(x, m1)
-                    and F.pow(ax, n2) == F.pow(x, n1)
-                    for x, ax in enumerate(a)))
+            and [pm2[ax] for ax in a] == pm1
+            and [pn2[ax] for ax in a] == pn1)
 
 
 def conjugate_classes(q: int):

@@ -3,11 +3,12 @@ prime powers, with a result cache and machine-readable reports.
 
 Within each parameter class the explicit power-map isomorphism is built and
 checked on the field (`verify_power_map`), so no class member is built as a
-digraph.  Across classes canonical representatives are compared, first by
-invariants read from the field (`invariants.field_profile`), then by
-search, since within-class isomorphism lifts representative-level verdicts
-to all members; only the representatives in pairs that reach the search
-are built, and each is dropped after the last search it takes part in.
+digraph, and each unit's vertex map is built once per q.  Across classes
+canonical representatives are compared, first by invariants read from the
+field (`invariants.field_profile`), then by search, since within-class
+isomorphism lifts representative-level verdicts to all members; only the
+representatives in pairs that reach the search are built, and each is
+dropped after the last search it takes part in.
 """
 
 import json
@@ -156,7 +157,11 @@ def sweep_one(q, *, m1_only=False, cache=None,
             digraphs[(m, n)] = build_monomial(F, m, n)
         return digraphs[(m, n)]
 
-    # within-class: verify the explicit power-map isomorphism for every member
+    # within-class: verify the explicit power-map isomorphism for every
+    # member.  Each unit k's vertex map is made once per q and checked in
+    # full the first time; product form is a property of the map, so each
+    # later member that k carries is checked on its first coordinates.
+    maps = {}                   # k -> (vertex map, first coordinates)
     for cls in classes:
         rm, rn = cls.canonical_rep
         for m, n in cls.members:
@@ -166,8 +171,12 @@ def sweep_one(q, *, m1_only=False, cache=None,
             k = explicit_iso(q, rm, rn, m, n)
             if k is None:
                 raise RuntimeError("class member without explicit isomorphism")
-            mapping = power_map(F, k)
-            if not verify_power_map(F, mapping, (m, n), (rm, rn)):
+            if k in maps:
+                mapping, checked = maps[k]
+            else:
+                mapping = checked = power_map(F, k)
+                maps[k] = mapping, [v // q for v in mapping[::q]]
+            if not verify_power_map(F, checked, (m, n), (rm, rn)):
                 raise RuntimeError(f"explicit map failed verification for "
                                    f"q={q} ({m},{n}) -> ({rm},{rn})")
             report.within_class_checks += 1

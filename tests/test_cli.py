@@ -181,6 +181,14 @@ def test_sweep_report_pinned(capsys):
         "2ff02648289a0d1f18bb328996e655985264598692c9784f28dbde15ac8c9a66"
 
 
+def test_sweep_report_pinned_17_19(capsys):
+    code, out, _ = run(capsys, "sweep", "--qmin", "17", "--qmax", "19",
+                       "--json", "-")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "0821d2656c319b15287601b3c53ec922943327b0ebf857bda412cd95cb544b6e"
+
+
 def test_sweep_empty_range_writes_no_line(capsys):
     # 10 is not a prime power, so there is no report to write
     code, out, _ = run(capsys, "sweep", "--qmin", "10", "--qmax", "10",

@@ -144,6 +144,18 @@ def test_power_map_image_and_kernel_sizes():
             assert image == (q - 1) // gcd_bar(n, q)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 27, 32])
+def test_power_table_rows_are_powers(q):
+    F = field_for_order(q)
+    assert "power_table" not in vars(F)
+    table = F.power_table
+    assert len(table) == q and table[0] is None
+    for k in range(1, q):
+        assert table[k] == F.powers(k)
+    # a cached property: made on first use, then kept on the Field
+    assert F.power_table is table
+
+
 def test_factor_prime_power():
     assert factor_prime_power(27) == (3, 3)
     assert factor_prime_power(17) == (17, 1)

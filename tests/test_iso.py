@@ -141,6 +141,42 @@ def test_verify_power_map_agrees_with_verify_mapping(q):
         verify_power_map(F, list(range(q * q - 1)), (1, 1), (1, 1))
 
 
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16])
+def test_verify_power_map_first_coordinates_agree(q):
+    # the q-entry first-coordinate map a gets the verdict of its vertex map
+    F = field_for_order(q)
+    maps = {k: power_map(F, k) for k in units_mod(q - 1)}
+    firsts = {k: [v // q for v in vmap[::q]] for k, vmap in maps.items()}
+    for cls in conjugate_classes(q):
+        rep = cls.canonical_rep
+        for member in cls.members:
+            for k, vmap in maps.items():
+                assert (verify_power_map(F, vmap, member, rep)
+                        == verify_power_map(F, firsts[k], member, rep))
+            a = firsts[explicit_iso(q, *rep, *member)]
+            assert verify_power_map(F, a, member, rep)
+            powers = [(F.pow(x, member[0]), F.pow(x, member[1]))
+                      for x in range(q)]
+            pairs = [(x, z) for x in range(q) for z in range(x + 1, q)]
+            # a(x1) and a(x2) swapped, where x1 and x2 differ in a power
+            x1, x2 = next((x, z) for x, z in pairs if powers[x] != powers[z])
+            swapped = list(a)
+            swapped[x1], swapped[x2] = a[x2], a[x1]
+            assert not verify_power_map(F, swapped, member, rep)
+            # a(x1) repeated as a(x2); when x1 and x2 share both powers,
+            # only bijectivity can reject it
+            x1, x2 = next((p for p in pairs if powers[p[0]] == powers[p[1]]),
+                          (0, 1))
+            repeated = list(a)
+            repeated[x2] = a[x1]
+            assert not verify_power_map(F, repeated, member, rep)
+    with pytest.raises(ValueError):
+        verify_power_map(F, list(range(q + 1)), (1, 1), (1, 1))
+    # an exponent below 1 is rejected, as 0^0 is not defined
+    with pytest.raises(ValueError):
+        verify_power_map(F, list(range(q)), (0, 1), (1, 1))
+
+
 def _classes_oracle(q):
     """Union-find over (m, n) pairs linked by unit multiplication."""
     pairs = [(m, n) for m in range(1, q) for n in range(1, q)]

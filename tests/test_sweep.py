@@ -5,7 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from monomial_digraphs.iso import IsoCertificate
+import pytest
+
+from monomial_digraphs.field import field_for_order, units_mod
+from monomial_digraphs.digraph import build_monomial
+from monomial_digraphs.iso import (IsoCertificate, explicit_iso, power_map,
+                                   verify_mapping)
 from monomial_digraphs.sweep import (SweepReport, ProfileCache, prime_powers,
                                      sweep, sweep_one)
 
@@ -78,6 +83,36 @@ def test_iso_sink_collects_within_class_maps():
     assert len(sink) == 6
     for rec in sink:
         assert rec["q"] == 5 and len(rec["mapping"]) == 25
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
+def test_within_class_sink_records_carry_their_member(q):
+    sink = []
+    r = sweep_one(q, iso_sink=sink)
+    assert len(sink) == r.within_class_checks > 0
+    F = field_for_order(q)
+    for rec in sink:
+        (m, n), (rm, rn) = rec["source"], rec["target"]
+        assert rec["mapping"] == power_map(F, explicit_iso(q, rm, rn, m, n))
+        assert verify_mapping(build_monomial(F, m, n),
+                              build_monomial(F, rm, rn), rec["mapping"])
+
+
+def test_each_unit_map_is_made_once_per_q(monkeypatch):
+    real = sweep_mod.power_map
+    calls = []
+
+    def counted(F, k):
+        calls.append((F.q, k))
+        return real(F, k)
+
+    monkeypatch.setattr(sweep_mod, "power_map", counted)
+    qs = [2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19]
+    checks = sum(sweep_one(q).within_class_checks for q in qs)
+    assert (len(calls), checks) == (29, 740)
+    assert len(set(calls)) == len(calls)
+    for q in qs:
+        assert sum(1 for c in calls if c[0] == q) <= len(units_mod(q - 1))
 
 
 def test_counterexample_is_reported_and_sunk(monkeypatch):
