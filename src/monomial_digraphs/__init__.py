@@ -16,6 +16,6 @@ from .iso import (IsoCertificate, ParameterClass, explicit_iso, power_map,
                   conjugate_classes, iso_search, stable_coloring,
                   extract_g, SecondCoordinateStructure,
                   FirstCoordinateDependenceError, UndecidedError)
-from .sweep import SweepReport, ProfileCache, prime_powers, sweep, sweep_one
+from .sweep import SweepReport, ProfileCache, prime_powers, sweep_one
 
 __version__ = "0.1.0"

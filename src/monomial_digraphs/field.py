@@ -28,7 +28,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """Write q as p^e with p prime, or raise ValueError."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     n, e = q, 0
     while n % p == 0:
         n, e = n // p, e + 1
@@ -198,13 +198,17 @@ def make_field(p: int, e: int) -> Field:
     degree e (coefficients compared high-degree-first), and the primitive
     element is the smallest-index generator of the multiplicative group.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
     if e < 1:
         raise ValueError("e must be >= 1")
+    # before p ** e for a large e, and before is_prime for a large p,
+    # both of which take long
+    if e >= MAX_ORDER.bit_length() or p ** e > MAX_ORDER:
+        order = p if e == 1 else f"{p}^{e}"
+        raise ValueError(f"q = {order} exceeds implementation bound "
+                         f"{MAX_ORDER}")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     q = p ** e
-    if q > MAX_ORDER:
-        raise ValueError(f"q = {q} exceeds implementation bound {MAX_ORDER}")
 
     # digits of k read high-degree-first give lexicographic order; at e = 1
     # this finds X, which raw_mul does not need
@@ -238,6 +242,8 @@ def make_field(p: int, e: int) -> Field:
 
 
 def field_for_order(q: int) -> Field:
+    if q > MAX_ORDER:           # before factoring, slow for a large prime q
+        raise ValueError(f"q = {q} exceeds implementation bound {MAX_ORDER}")
     p, e = factor_prime_power(q)
     return make_field(p, e)
 

@@ -15,13 +15,14 @@ from .digraph import Digraph, MonomialDigraph, count_cycles_by_length
 
 MOTIF_NAMES = ("K", "directed-K22")
 
-# InvariantProfile fields compared after the gcd filter, in witness order.
-# The other counts are functions of the gcd profile, which the filter has
-# already found equal, so they never separate a pair that passed it:
-# loop_total is q, loop_distinct_nonzero_y is q-1 for even q and
-# (q-1)/sum_bar for odd q, two_cycle_count depends on (q, diff_bar) only,
-# and k22_formula gives k22_motif_count from (q, m_bar, n_bar).
-PRUNING_FIELDS = ("k_motif_count",)
+# The InvariantProfile fields that separate pairs, in witness order: the
+# gcd profile, which necessary_filter checks in the paper's order (i), (ii),
+# (iii), then the K count.  The other counts are functions of the gcd
+# profile, so they never separate a pair that it does not: loop_total is
+# q, loop_distinct_nonzero_y is q-1 for even q and (q-1)/sum_bar for odd
+# q, two_cycle_count depends on (q, diff_bar) only, and k22_formula gives
+# k22_motif_count from (q, m_bar, n_bar).
+PRUNING_FIELDS = ("m_bar", "n_bar", "sum_bar", "diff_bar", "k_motif_count")
 
 
 @dataclass(frozen=True)
@@ -219,9 +220,6 @@ def trinomial_root_count(F: Field, d: int) -> int:
     return count
 
 
-_CONDITION_ORDER = ("m_bar", "n_bar", "sum_bar", "diff_bar")
-
-
 @dataclass(frozen=True)
 class FilterResult:
     passed: bool
@@ -243,11 +241,7 @@ def necessary_filter(params1, params2) -> FilterResult:
     bars1 = gcd_profile(q1, m1, n1)
     bars2 = gcd_profile(q2, m2, n2)
     eq = [a == b for a, b in zip(bars1, bars2)]
-    failed = None
-    for name, ok in zip(_CONDITION_ORDER, eq):
-        if not ok:
-            failed = name
-            break
+    failed = PRUNING_FIELDS[eq.index(False)] if False in eq else None
     return FilterResult(
         passed=failed is None,
         failed_condition=failed,

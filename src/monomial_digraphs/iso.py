@@ -362,9 +362,10 @@ def iso_search(D1: Digraph, D2: Digraph,
                budget: int = DEFAULT_SEARCH_BUDGET) -> IsoCertificate:
     """Decide isomorphism with a verifiable certificate.
 
-    Invariant filters first, when both are MonomialDigraphs, whose params
-    describe their arcs; then color refinement of the root from the
-    invariants.vertex_seeds entries, then complete
+    The invariant profiles first, when both are MonomialDigraphs, whose
+    params describe their arcs: the first of invariants.PRUNING_FIELDS in
+    which they differ is the witness.  Then color refinement of the root
+    from the invariants.vertex_seeds entries, then complete
     individualization-refinement backtracking.  When D2 is a monomial
     digraph, the search skips a candidate that a known automorphism of D2
     (see _known_automorphisms) maps onto one that already failed; this
@@ -379,10 +380,6 @@ def iso_search(D1: Digraph, D2: Digraph,
         raise ValueError("digraphs must have equal vertex counts")
 
     if isinstance(D1, MonomialDigraph) and isinstance(D2, MonomialDigraph):
-        filt = invariants.necessary_filter(D1.params, D2.params)
-        if not filt.passed:
-            return IsoCertificate("NonIso", witness=filt.failed_condition,
-                                  seconds=time.perf_counter() - t0)
         name = invariants.separating_field(invariants.profile(D1),
                                            invariants.profile(D2))
         if name is not None:

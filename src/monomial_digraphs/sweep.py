@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field as dc_field, fields
+from itertools import combinations
 
 from .field import make_field, factor_prime_power
 from .digraph import build_monomial, check_order
@@ -44,14 +45,16 @@ class SweepReport:
 
 
 def prime_powers(q_min: int, q_max: int):
-    out = []
+    return list(_prime_powers(q_min, q_max))
+
+
+def _prime_powers(q_min, q_max):
     for q in range(max(q_min, 2), q_max + 1):
         try:
             factor_prime_power(q)
         except ValueError:
             continue
-        out.append(q)
-    return out
+        yield q
 
 
 class CacheCorruptError(OSError):
@@ -195,23 +198,16 @@ def sweep_one(q, *, m1_only=False, cache=None,
             cache.put(q, m, n, prof)
         return prof
 
+    # a pair is left to iso_search iff the gcd filter passes it and no
+    # field of PRUNING_FIELDS separates the profiles, which are only read
+    # for the pairs that the filter passes
     reps = [cls.canonical_rep for cls in classes]
-    searching = []                      # the pairs left to iso_search
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            report.cross_class_pairs += 1
-            pi = (q, *reps[i])
-            pj = (q, *reps[j])
-            filt = invariants.necessary_filter(pi, pj)
-            if not filt.passed:
-                report.resolved_by_invariant += 1
-                continue
-            prof_i = rep_profile(*reps[i])
-            prof_j = rep_profile(*reps[j])
-            if invariants.separating_field(prof_i, prof_j) is not None:
-                report.resolved_by_invariant += 1
-                continue
-            searching.append((reps[i], reps[j]))
+    searching = [(a, b) for a, b in combinations(reps, 2)
+                 if invariants.necessary_filter((q, *a), (q, *b)).passed
+                 and invariants.separating_field(rep_profile(*a),
+                                                 rep_profile(*b)) is None]
+    report.cross_class_pairs = len(reps) * (len(reps) - 1) // 2
+    report.resolved_by_invariant = report.cross_class_pairs - len(searching)
 
     # a representative's digraph is dropped after the last pair it is in
     last = {rep: k for k, pair in enumerate(searching) for rep in pair}
@@ -244,10 +240,11 @@ def _sweep_qs(q_min, q_max, m1_only, budget):
         raise ValueError(f"search budget must be >= 0, got {budget}")
     if q_min > q_max:
         raise ValueError(f"qmin = {q_min} exceeds qmax = {q_max}")
-    qs = [q for q in prime_powers(q_min, q_max)
-          if not (m1_only and q % 2 == 0)]
-    for q in qs:
-        check_order(q)
+    qs = []
+    for q in _prime_powers(q_min, q_max):
+        if not (m1_only and q % 2 == 0):
+            check_order(q)          # before the rest of the range is listed
+            qs.append(q)
     return qs
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -91,6 +92,28 @@ def test_too_many_vertices_is_domain_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("iso", "1000000007", "1", "2", "1", "3"),
+    ("build", "1000000007", "1", "1"),
+    ("trinomial", "1000000007", "3"),
+    ("sweep", "--qmin", "1000000007", "--qmax", "1000000007"),
+    # stops at q = 131, before the rest of the range is listed
+    ("sweep", "--qmin", "2", "--qmax", "200000"),
+    ("sweep", "--qmin", "2", "--qmax", "1000000000000"),
+    # rejected before 3 ** e is computed or printed
+    ("field-info", "3", "10000000"),
+    ("field-info", "3", "100000000"),
+    # a prime near 10^18: no trial division up to its square root
+    ("iso", "1000000000000000003", "1", "2", "1", "3"),
+    ("field-info", "1000000000000000003", "1")])
+def test_large_q_is_domain_error_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 2
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_iso_makes_the_field_once(capsys, monkeypatch):
     # both digraphs are built over one GF(q) and share its tables
     calls = []
@@ -179,6 +202,18 @@ def test_sweep_report_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "2ff02648289a0d1f18bb328996e655985264598692c9784f28dbde15ac8c9a66"
+
+
+def test_sweep_cache_bytes_pinned(capsys, tmp_path):
+    # the cache lines follow the order in which the pair stage profiles
+    # the representatives
+    cache = tmp_path / "cache.jsonl"
+    code, _, _ = run(capsys, "sweep", "--qmin", "2", "--qmax", "16",
+                     "--cache", str(cache))
+    data = cache.read_bytes()
+    assert code == 0 and data.count(b"\n") == 26
+    assert hashlib.sha256(data).hexdigest() == \
+        "c1f1576e5f921aff516d7700c5a5827500589e79dc3d9f979525d53c50c73a34"
 
 
 def test_sweep_report_pinned_17_19(capsys):

@@ -159,6 +159,8 @@ def test_power_table_rows_are_powers(q):
 def test_factor_prime_power():
     assert factor_prime_power(27) == (3, 3)
     assert factor_prime_power(17) == (17, 1)
+    # divisors are tried only up to the square root
+    assert factor_prime_power(1000000007) == (1000000007, 1)
     with pytest.raises(ValueError):
         factor_prime_power(12)
     assert is_prime(2) and not is_prime(1)

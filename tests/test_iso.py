@@ -6,13 +6,14 @@ import json
 import sys
 import weakref
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from monomial_digraphs.field import field_for_order, units_mod, poly_eval
 from monomial_digraphs.digraph import (build_monomial, reverse, Digraph,
                                        MonomialParams)
-from monomial_digraphs import iso
+from monomial_digraphs import invariants, iso
 from monomial_digraphs.iso import (explicit_iso, power_map, psi_automorphism,
                                    compose, identity_map, verify_mapping,
                                    verify_power_map,
@@ -20,7 +21,6 @@ from monomial_digraphs.iso import (explicit_iso, power_map, psi_automorphism,
                                    iso_search, extract_g, UndecidedError,
                                    FirstCoordinateDependenceError)
 
-# the package exports the function sweep under the module's name
 sweep_mod = importlib.import_module("monomial_digraphs.sweep")
 
 
@@ -233,6 +233,30 @@ def test_iso_search_filter_witnesses():
     assert cert.verdict == "NonIso" and cert.witness == "sum_bar"
     cert = iso_search(build(11, 1, 2), build(11, 1, 10))
     assert cert.verdict == "NonIso" and cert.witness == "n_bar"
+
+
+def test_iso_search_witness_on_every_rep_pair():
+    # the profile's first differing field of PRUNING_FIELDS is the witness:
+    # the filter's failed condition when it fails, else the K count
+    kinds = Counter()
+    for q in (5, 7, 8, 9, 11, 13):
+        F = field_for_order(q)
+        reps = [cls.canonical_rep for cls in conjugate_classes(q)]
+        digraphs = {rep: build_monomial(F, *rep) for rep in reps}
+        for a, b in combinations(reps, 2):
+            filt = invariants.necessary_filter((q, *a), (q, *b))
+            if filt.passed:
+                k_a = invariants.field_profile(F, *a).k_motif_count
+                if k_a == invariants.field_profile(F, *b).k_motif_count:
+                    continue
+                expected = "k_motif_count"
+            else:
+                expected = filt.failed_condition
+            cert = iso_search(digraphs[a], digraphs[b])
+            assert (cert.verdict, cert.witness, cert.nodes) == \
+                ("NonIso", expected, 0), (q, a, b)
+            kinds[expected] += 1
+    assert set(kinds) == set(invariants.PRUNING_FIELDS)
 
 
 def test_iso_search_q17_motif_separated_pair():

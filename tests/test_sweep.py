@@ -14,7 +14,6 @@ from monomial_digraphs.iso import (IsoCertificate, explicit_iso, power_map,
 from monomial_digraphs.sweep import (SweepReport, ProfileCache, prime_powers,
                                      sweep, sweep_one)
 
-# the package exports the function sweep under the module's name
 sweep_mod = importlib.import_module("monomial_digraphs.sweep")
 
 
@@ -50,6 +49,18 @@ def test_sweep_q5_accounting():
     assert (r.resolved_by_invariant + r.resolved_by_search
             + r.undecided + len(r.counterexamples)) == 45
     assert r.counterexamples == [] and r.undecided == 0
+
+
+def test_package_attribute_is_the_sweep_module(monkeypatch):
+    import monomial_digraphs
+    import monomial_digraphs.sweep as imported
+    assert imported is sweep_mod is monomial_digraphs.sweep
+    # so a patch made through it reaches the sweep
+    qs = []
+    real = imported.sweep_one
+    monkeypatch.setattr(imported, "sweep_one",
+                        lambda q, **kw: qs.append(q) or real(q, **kw))
+    assert [r.q for r in sweep(2, 5)] == qs == [2, 3, 4, 5]
 
 
 def test_failed_member_check_fails_under_python_O():
