@@ -147,8 +147,8 @@ def _cmd_sweep(args):
     cache = ProfileCache(args.cache) if args.cache else None
     try:
         reports = run_sweep(args.qmin, args.qmax,
-                                  m1_only=args.m1_only, cache=cache,
-                                  budget=args.budget)
+                            m1_only=args.m1_only, cache=cache,
+                            budget=args.budget)
     finally:
         if cache is not None:
             cache.close()

@@ -38,8 +38,11 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 def gcd_bar(a: int, q: int) -> int:
-    """gcd(a, q-1) taken on a mod (q-1), with gcd(0, q-1) = q-1."""
-    return math.gcd(a % (q - 1), q - 1)
+    """gcd(a, q-1) taken on a mod (q-1), with gcd(0, q-1) = q-1.
+
+    No reduction mod q-1 is needed: gcd(a, r) = gcd(a - k*r, r) for every
+    k, math.gcd takes negative a, and math.gcd(0, r) = r."""
+    return math.gcd(a, q - 1)
 
 
 def units_mod(n: int) -> list[int]:

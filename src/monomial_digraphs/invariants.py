@@ -8,7 +8,8 @@ other digraph, so the two routes can check each other.
 """
 
 from dataclasses import dataclass, asdict, replace
-from math import comb
+from itertools import product
+from math import comb, gcd
 
 from .field import Field, gcd_bar
 from .digraph import Digraph, MonomialDigraph, count_cycles_by_length
@@ -56,9 +57,10 @@ def separating_field(prof1, prof2):
 
 
 def gcd_profile(q: int, m: int, n: int):
-    """(m_bar, n_bar, sum_bar, diff_bar) with gcd(0, q-1) = q-1."""
-    return (gcd_bar(m, q), gcd_bar(n, q),
-            gcd_bar(m + n, q), gcd_bar(m - n, q))
+    """(m_bar, n_bar, sum_bar, diff_bar), each gcd_bar(a, q), which is
+    math.gcd(a, q-1) with no reduction of a."""
+    r = q - 1
+    return gcd(m, r), gcd(n, r), gcd(m + n, r), gcd(m - n, r)
 
 
 def vertex_seeds(D: Digraph):
@@ -229,6 +231,25 @@ class FilterResult:
     condition_iii: bool               # diff_bar equal
 
 
+def _filter_result(eq):
+    """The FilterResult of the equalities of m_bar, n_bar, sum_bar and
+    diff_bar."""
+    failed = PRUNING_FIELDS[eq.index(False)] if False in eq else None
+    return FilterResult(
+        passed=failed is None,
+        failed_condition=failed,
+        condition_i=eq[0] and eq[1],
+        condition_ii=eq[2],
+        condition_iii=eq[3],
+    )
+
+
+# every result necessary_filter can give, keyed by the four equalities;
+# they are frozen, so all calls share them
+_FILTER_RESULTS = {eq: _filter_result(eq)
+                   for eq in product((False, True), repeat=4)}
+
+
 def necessary_filter(params1, params2) -> FilterResult:
     """Check the gcd-profile necessary conditions on two parameter triples.
 
@@ -238,17 +259,9 @@ def necessary_filter(params1, params2) -> FilterResult:
     q2, m2, n2 = _unpack(params2)
     if q1 != q2:
         raise ValueError(f"mismatched field orders {q1} and {q2}")
-    bars1 = gcd_profile(q1, m1, n1)
-    bars2 = gcd_profile(q2, m2, n2)
-    eq = [a == b for a, b in zip(bars1, bars2)]
-    failed = PRUNING_FIELDS[eq.index(False)] if False in eq else None
-    return FilterResult(
-        passed=failed is None,
-        failed_condition=failed,
-        condition_i=eq[0] and eq[1],
-        condition_ii=eq[2],
-        condition_iii=eq[3],
-    )
+    a1, b1, c1, d1 = gcd_profile(q1, m1, n1)
+    a2, b2, c2, d2 = gcd_profile(q2, m2, n2)
+    return _FILTER_RESULTS[a1 == a2, b1 == b2, c1 == c2, d1 == d2]
 
 
 def _unpack(params):

@@ -188,24 +188,25 @@ def sweep_one(q, *, m1_only=False, cache=None,
                                  "mapping": mapping})
 
     # cross-class: compare canonical representatives pairwise
-    def rep_profile(m, n):
+    def rep_profile(key):
         if cache is not None:
-            hit = cache.get(q, m, n)
+            hit = cache.get(*key)
             if hit is not None:
                 return hit
-        prof = invariants.field_profile(F, m, n)
+        prof = invariants.field_profile(F, *key[1:])
         if cache is not None:
-            cache.put(q, m, n, prof)
+            cache.put(*key, prof)
         return prof
 
     # a pair is left to iso_search iff the gcd filter passes it and no
     # field of PRUNING_FIELDS separates the profiles, which are only read
-    # for the pairs that the filter passes
-    reps = [cls.canonical_rep for cls in classes]
-    searching = [(a, b) for a, b in combinations(reps, 2)
-                 if invariants.necessary_filter((q, *a), (q, *b)).passed
-                 and invariants.separating_field(rep_profile(*a),
-                                                 rep_profile(*b)) is None]
+    # for the pairs that the filter passes; each representative's
+    # (q, m, n) key is made once
+    reps = [(q, *cls.canonical_rep) for cls in classes]
+    searching = [(a[1:], b[1:]) for a, b in combinations(reps, 2)
+                 if invariants.necessary_filter(a, b).passed
+                 and invariants.separating_field(rep_profile(a),
+                                                 rep_profile(b)) is None]
     report.cross_class_pairs = len(reps) * (len(reps) - 1) // 2
     report.resolved_by_invariant = report.cross_class_pairs - len(searching)
 

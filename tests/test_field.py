@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
 from monomial_digraphs.field import (make_field, field_for_order,
                                      factor_prime_power, is_prime, gcd_bar,
                                      units_mod, lagrange_interpolate,
                                      poly_eval)
+from monomial_digraphs.sweep import prime_powers
 
 PRIME_POWERS_27 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27]
 
@@ -89,6 +92,14 @@ def test_gcd_bar_examples():
     assert gcd_bar(4, 17) == 4
     assert gcd_bar(0, 11) == 10
     assert gcd_bar(-1, 3) == 1
+
+
+def test_gcd_bar_needs_no_reduction():
+    # gcd_bar reads a itself; the reduced form it replaced is the oracle,
+    # on negative a, a = 0, multiples of q - 1 and q = 2 (where q - 1 = 1)
+    for q in prime_powers(2, 32):
+        for a in range(-2 * q, 2 * q + 1):
+            assert gcd_bar(a, q) == math.gcd(a % (q - 1), q - 1), (a, q)
 
 
 def test_units_mod_examples():

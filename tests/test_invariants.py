@@ -1,10 +1,23 @@
-from dataclasses import fields, replace
-from itertools import combinations
+"""Invariants and counting formulas against oracles that count by brute
+force, and the gcd filter against a copy of its earlier form.
+
+Run as a script, `python tests/test_invariants.py Q...` checks
+necessary_filter against that copy on every ordered pair of class
+representatives at each Q; the tests below cover every representative
+pair at each q <= 19.
+"""
+
+import math
+import sys
+import time
+from dataclasses import FrozenInstanceError, fields, replace
+from itertools import combinations, permutations, product
 
 import pytest
 
 from monomial_digraphs.field import field_for_order, gcd_bar
-from monomial_digraphs.digraph import (Digraph, build_monomial, reverse,
+from monomial_digraphs.digraph import (Digraph, MonomialParams,
+                                       build_monomial, reverse,
                                        count_cycles_by_length)
 from monomial_digraphs.invariants import (gcd_profile, count_loops,
                                           vertex_seeds,
@@ -12,9 +25,11 @@ from monomial_digraphs.invariants import (gcd_profile, count_loops,
                                           k22_formula, motif_census,
                                           trinomial_root_count,
                                           necessary_filter, profile,
-                                          InvariantProfile, PRUNING_FIELDS)
+                                          FilterResult, InvariantProfile,
+                                          PRUNING_FIELDS)
 from monomial_digraphs import invariants
-from monomial_digraphs.iso import iso_search
+from monomial_digraphs.iso import conjugate_classes, iso_search
+from monomial_digraphs.sweep import prime_powers
 
 
 def build(q, m, n):
@@ -166,6 +181,84 @@ def test_necessary_filter():
         necessary_filter((3, 1, 1), (5, 1, 1))
 
 
+# -- necessary_filter against its form before it shared its results ---------
+
+def _reduced_gcd_bar(a, q):
+    """gcd_bar as it was, reducing a mod q-1 first."""
+    return math.gcd(a % (q - 1), q - 1)
+
+
+def _oracle_gcd_profile(q, m, n):
+    return (_reduced_gcd_bar(m, q), _reduced_gcd_bar(n, q),
+            _reduced_gcd_bar(m + n, q), _reduced_gcd_bar(m - n, q))
+
+
+def _oracle_unpack(params):
+    if hasattr(params, "q"):
+        return params.q, params.m, params.n
+    q, m, n = params
+    return q, m, n
+
+
+def _oracle_filter(params1, params2):
+    """necessary_filter as it was: the reduced gcd profiles, and a new
+    FilterResult for every call."""
+    q1, m1, n1 = _oracle_unpack(params1)
+    q2, m2, n2 = _oracle_unpack(params2)
+    if q1 != q2:
+        raise ValueError(f"mismatched field orders {q1} and {q2}")
+    bars1 = _oracle_gcd_profile(q1, m1, n1)
+    bars2 = _oracle_gcd_profile(q2, m2, n2)
+    eq = [a == b for a, b in zip(bars1, bars2)]
+    failed = PRUNING_FIELDS[eq.index(False)] if False in eq else None
+    return FilterResult(
+        passed=failed is None,
+        failed_condition=failed,
+        condition_i=eq[0] and eq[1],
+        condition_ii=eq[2],
+        condition_iii=eq[3],
+    )
+
+
+def check_filter_on_representatives(q):
+    """necessary_filter equals the oracle on every ordered pair of class
+    representatives at q; returns the number of pairs."""
+    reps = [(q, *cls.canonical_rep) for cls in conjugate_classes(q)]
+    count = 0
+    for a, b in permutations(reps, 2):
+        assert necessary_filter(a, b) == _oracle_filter(a, b), (a, b)
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_necessary_filter_matches_oracle_on_every_pair(q):
+    keys = [(q, m, n) for m in range(1, q) for n in range(1, q)]
+    for a, b in product(keys, repeat=2):
+        assert necessary_filter(a, b) == _oracle_filter(a, b), (a, b)
+
+
+@pytest.mark.parametrize("q", prime_powers(2, 19))
+def test_necessary_filter_matches_oracle_on_representative_pairs(q):
+    check_filter_on_representatives(q)
+
+
+def test_necessary_filter_results_are_shared_and_frozen():
+    r = necessary_filter((17, 1, 4), (17, 1, 12))
+    assert r is necessary_filter((17, 1, 2), (17, 1, 2))
+    with pytest.raises(FrozenInstanceError):
+        r.passed = False
+    assert necessary_filter((17, 1, 4), (17, 1, 12)).passed
+    with pytest.raises(ValueError):
+        necessary_filter((8, 1, 2), MonomialParams(9, 1, 2))
+    for a, b in (((13, 1, 2), (13, 2, 1)), ((13, 1, 3), (13, 1, 9)),
+                 ((13, 2, 5), (13, 2, 7))):
+        pa, pb = MonomialParams(*a), MonomialParams(*b)
+        expected = _oracle_filter(a, b)
+        assert necessary_filter(pa, pb) == necessary_filter(a, pb) \
+            == necessary_filter(pa, b) == expected, (a, b)
+
+
 def test_profile_fig1():
     p = profile(build(3, 1, 2))
     assert (p.m_bar, p.n_bar, p.sum_bar, p.diff_bar) == (1, 2, 1, 1)
@@ -207,3 +300,19 @@ def test_equal_diagonal_profiles():
             for n in range(m + 1, q):
                 if gcd_bar(m, q) == gcd_bar(n, q):
                     assert profile(build(q, m, m)) == profile(build(q, n, n))
+
+
+def _main(argv):
+    import argparse
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("q", type=int, nargs="+")
+    args = ap.parse_args(argv)
+    for q in args.q:
+        t0 = time.perf_counter()
+        count = check_filter_on_representatives(q)
+        print(f"q={q}: necessary_filter matches the oracle on {count} "
+              f"representative pairs ({time.perf_counter() - t0:.1f} s)")
+
+
+if __name__ == "__main__":
+    _main(sys.argv[1:])
