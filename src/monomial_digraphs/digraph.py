@@ -114,6 +114,22 @@ def build_monomial(field: Field, m: int, n: int) -> MonomialDigraph:
     return MonomialDigraph(adj, field, params)
 
 
+def psi(field: Field, m: int, n: int, c: int):
+    """psi_c: (x, y) -> (c * x, c^(m+n) * y), an automorphism of D(q; m, n)
+    (multiply x2 + y2 = x1^m * y1^n by c^(m+n)), as its coordinate tables
+    (xs, ys), rows of field.mul_table.  Raises ValueError unless
+    1 <= c <= q-1.
+
+    Each (x1, x2) with x1 != 0 is psi_x1 of (1, x2 * x1^-(m+n)), so a
+    count that automorphisms keep is read off the 2q vertices (0, t) and
+    (1, t): (x1, x2) reads that of its image under psi(field, m, n, 1/x1).
+    """
+    if not 1 <= c < field.q:
+        raise ValueError(f"c = {c} is not a nonzero element of GF({field.q})")
+    mul = field.mul_table
+    return mul[c], mul[field.pow(c, m + n)]
+
+
 def reverse(D: Digraph) -> Digraph:
     """The digraph with every arc of D turned round.  The reverse of
     D(q; m, n) is D(q; n, m) on the same ids, so a MonomialDigraph stays
@@ -253,10 +269,6 @@ def count_cycles_by_length(D: Digraph, L: int,
     return counts
 
 
-def _vertex_label(vid: int, q: int):
-    return vid // q, vid % q
-
-
 def export(D: Digraph, fmt: str = "arcs-text") -> str:
     """Serialize a q^2-vertex digraph.
 
@@ -269,14 +281,14 @@ def export(D: Digraph, fmt: str = "arcs-text") -> str:
     if fmt == "arcs-text":
         lines = []
         for u, v in D.arcs():
-            x1, x2 = _vertex_label(u, q)
-            y1, y2 = _vertex_label(v, q)
+            x1, x2 = divmod(u, q)
+            y1, y2 = divmod(v, q)
             lines.append(f"{x1},{x2} -> {y1},{y2}")
         return "\n".join(lines) + "\n"
     if fmt == "dot":
         lines = ["digraph D {"]
         for vid in range(D.n):
-            x1, x2 = _vertex_label(vid, q)
+            x1, x2 = divmod(vid, q)
             lines.append(f'  v{vid} [label="({x1},{x2})"];')
         for u, v in D.arcs():
             lines.append(f"  v{u} -> v{v};")

@@ -11,30 +11,40 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 MAX_ORDER = 1 << 16
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases _WITNESSES, exact below 3.3 * 10^24:
+    above it a composite may pass, but a prime never fails."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1    # the largest 2^s | n - 1
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+        chain = [pow(a, (n - 1) >> (s - i), n) for i in range(s)]
+        if chain[0] != 1 and n - 1 not in chain:
             return False
-        d += 1
     return True
 
 
+def _iroot(q: int, e: int) -> int:
+    """The largest r with r^e <= q, by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // e)
+    while (s := ((e - 1) * r + q // r ** (e - 1)) // e) < r:
+        r = s
+    return r
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Write q as p^e with p prime, or raise ValueError."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    n, e = q, 0
-    while n % p == 0:
-        n, e = n // p, e + 1
-    if n != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, e
+    """Write q as p^e with p prime, or raise ValueError.  Each e with
+    2^e <= q has one candidate p, the integer e-th root of q."""
+    for e in range(1, max(q, 1).bit_length()):
+        p = _iroot(q, e)
+        if p ** e == q and is_prime(p):
+            return p, e
+    raise ValueError(f"{q} is not a prime power")
 
 
 def gcd_bar(a: int, q: int) -> int:
@@ -203,8 +213,7 @@ def make_field(p: int, e: int) -> Field:
     """
     if e < 1:
         raise ValueError("e must be >= 1")
-    # before p ** e for a large e, and before is_prime for a large p,
-    # both of which take long
+    # before p ** e, which takes long for a large e
     if e >= MAX_ORDER.bit_length() or p ** e > MAX_ORDER:
         order = p if e == 1 else f"{p}^{e}"
         raise ValueError(f"q = {order} exceeds implementation bound "
@@ -245,7 +254,7 @@ def make_field(p: int, e: int) -> Field:
 
 
 def field_for_order(q: int) -> Field:
-    if q > MAX_ORDER:           # before factoring, slow for a large prime q
+    if q > MAX_ORDER:           # the bound, whether or not q = p^e
         raise ValueError(f"q = {q} exceeds implementation bound {MAX_ORDER}")
     p, e = factor_prime_power(q)
     return make_field(p, e)

@@ -12,7 +12,8 @@ from itertools import product
 from math import comb, gcd
 
 from .field import Field, gcd_bar
-from .digraph import Digraph, MonomialDigraph, count_cycles_by_length
+from .digraph import (Digraph, MonomialDigraph, count_cycles_by_length,
+                      psi)
 
 MOTIF_NAMES = ("K", "directed-K22")
 
@@ -90,27 +91,18 @@ def _field_seeds(F: Field, m: int, n: int):
     """vertex_seeds of D(q; m, n), from the field's tables.
 
     (x1, x2) -> (y1, y2) -> (x1, x2) iff x1^m * y1^n = y1^m * x1^n and
-    y2 = x1^m * y1^n - x2, so the mutual(x1) elements y1 that solve the
-    first equation give as many mutual neighbours of each (x1, x2).  Every
-    y1 solves it when x1 = 0; for x1 != 0, y1 = x1 * u solves it iff
-    u^m = u^n, so mutual(x1) is the same count M for every such x1 (the
-    automorphisms psi_c of D(q; m, n) carry x1 to c * x1).  One of the
-    mutual neighbours, y1 = x1, is the vertex itself exactly when it is
-    looped, that is when 2 * x2 = x1^(m+n).
+    y2 = x1^m * y1^n - x2: one mutual neighbour per y1 that solves the
+    first, itself iff 2 * x2 = x1^(m+n).  All q solve it at x1 = 0, the M
+    u with u^m = u^n at x1 = 1, so (0, t) has seed 2q - [2t = 0], (1, t)
+    2M - [2t = 1], and every other vertex one of the latter (digraph.psi).
     """
     q = F.q
-    mul, sub = F.mul_table, F.sub_table
-    xm, xn = F.powers(m), F.powers(n)
-    M = sum(a == b for a, b in zip(xm, xn))
-    halves = {}                                 # a -> the t with t + t = a
-    for t, row in enumerate(sub):
-        halves.setdefault(row[sub[0][t]], []).append(t)
-    seeds = []
-    for x1, (a, b) in enumerate(zip(xm, xn)):
-        row = [2 * (M if x1 else q)] * q
-        for t in halves.get(mul[a][b], ()):
-            row[t] -= 1
-        seeds.extend(row)
+    M = sum(a == b for a, b in zip(F.powers(m), F.powers(n)))
+    doubles = F.mul_table[F.add(1, 1)]                  # 2 * t
+    seeds = [2 * q - (d == 0) for d in doubles]
+    ones = [2 * M - (d == 1) for d in doubles]
+    for x1 in range(1, q):
+        seeds.extend(map(ones.__getitem__, psi(F, m, n, F.inv(x1))[1]))
     return seeds
 
 
@@ -143,13 +135,13 @@ def two_cycle_formula(q: int, m: int, n: int) -> int:
 def k_formula(F: Field, m: int, n: int) -> int:
     """K count of D(q; m, n), from the field's tables.
 
-    For odd q the looped vertices are (x, x^(m+n)/2), one per x, and
-    (x, x^(m+n)/2) -> (x', x'^(m+n)/2) is an arc iff
-    x^(m+n) + x'^(m+n) = 2 * x^m * x'^n.  With x = 0 only x' = 0 solves
-    it; with x != 0 and x' = x * u it reads 1 + u^(m+n) = 2 * u^n, which
-    u = 1 (x' = x) always solves.  So K = (q - 1) * (#{u : 1 + u^(m+n) =
-    2 * u^n} - 1).  For even q the looped vertices are the (0, y), and
-    (0, y) -> (0, y') iff y' = y.
+    For odd q the looped vertices are (x, x^(m+n)/2), one per x.  The
+    looped (0, 0) has no looped out-neighbour but itself.  Each looped
+    (x, .) with x != 0 is in the psi-orbit (see digraph.psi) of (1, 1/2),
+    which has the arc to the looped (u, u^(m+n)/2) iff
+    1 + u^(m+n) = 2 * u^n, and u = 1 (its loop) always solves that.  So
+    K = (q - 1) * (#{u : 1 + u^(m+n) = 2 * u^n} - 1).  For even q the
+    looped vertices are the (0, y), and (0, y) -> (0, y') iff y' = y.
     """
     q = F.q
     if q % 2 == 0:
@@ -213,13 +205,8 @@ def trinomial_root_count(F: Field, d: int) -> int:
     if d < 1:
         raise ValueError("d must be >= 1")
     two = F.add(1, 1)
-    one = 1
-    count = 0
-    for x in F.elements():
-        val = F.add(F.sub(F.pow(x, d), F.mul(two, x)), one)
-        if val == 0:
-            count += 1
-    return count
+    return sum(F.add(F.sub(F.pow(x, d), F.mul(two, x)), 1) == 0
+               for x in F.elements())
 
 
 @dataclass(frozen=True)
@@ -265,10 +252,8 @@ def necessary_filter(params1, params2) -> FilterResult:
 
 
 def _unpack(params):
-    if hasattr(params, "q"):
-        return params.q, params.m, params.n
-    q, m, n = params
-    return q, m, n
+    return ((params.q, params.m, params.n) if hasattr(params, "q")
+            else tuple(params))
 
 
 def field_profile(F: Field, m: int, n: int) -> InvariantProfile:

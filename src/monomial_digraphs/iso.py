@@ -13,7 +13,7 @@ from operator import add, itemgetter
 from dataclasses import dataclass
 
 from .field import Field, units_mod, lagrange_interpolate
-from .digraph import Digraph, MonomialDigraph
+from .digraph import Digraph, MonomialDigraph, psi
 from . import invariants
 
 DEFAULT_SEARCH_BUDGET = 10 ** 9
@@ -80,19 +80,19 @@ def power_map(F: Field, k: int):
 
 
 def psi_automorphism(F: Field, m: int, n: int, c: int):
-    """The automorphism (x, y) -> (c*x, c^(m+n)*y) of D(q; m, n)."""
-    if c == 0:
-        raise ValueError("c must be nonzero")
+    """The automorphism psi_c of D(q; m, n) (digraph.psi) as a permutation
+    of vertex ids; ValueError unless 1 <= c <= q-1."""
     q = F.q
-    cs = F.pow(c, m + n)
-    return [F.mul(c, v // q) * q + F.mul(cs, v % q) for v in range(q * q)]
+    xs, ys = psi(F, m, n, c)
+    return [x * q + y for x in xs for y in ys]
 
 
 def _known_automorphisms(D: Digraph):
     """The automorphisms (x, y) -> (c*phi(x), c^(m+n)*phi(y) + t) of
-    D = D(q; m, n), for nonzero c, phi = Frob^j with j < e, and t in GF(q)
-    when p = 2 (a shift of both second coordinates leaves x2 + y2 alone in
-    characteristic 2), t = 0 otherwise.
+    D = D(q; m, n), psi_c (digraph.psi) after phi, for nonzero c,
+    phi = Frob^j with j < e, and t in GF(q) when p = 2 (a shift of both
+    second coordinates leaves x2 + y2 alone in characteristic 2), t = 0
+    otherwise.
 
     Returns (elements, apply): the range of the element numbers
     g = ((c - 1) * e + j) * s + t, with s = q if p = 2 and s = 1
@@ -117,14 +117,14 @@ def _automorphism_family(D: Digraph):
     if F is None or P is None or F.q != P.q or D.n != F.q * F.q:
         return None
     q, p, e = F.q, F.p, F.e
-    frob = [[F.pow(x, p ** j) for x in range(q)] for j in range(e)]
+    frob = [F.powers(p ** j) for j in range(e)]
     s = q if p == 2 else 1
     xs, ys = [], []                     # indexed by (c - 1) * e + j
     for c in range(1, q):
-        cs = F.pow(c, P.m + P.n)
+        cx, cy = psi(F, P.m, P.n, c)
         for j in range(e):
-            xs.append([F.mul(c, a) for a in frob[j]])
-            ys.append([F.mul(cs, a) for a in frob[j]])
+            xs.append([cx[a] for a in frob[j]])
+            ys.append([cy[a] for a in frob[j]])
 
     def apply(g, v):
         k, t = divmod(g, s)
@@ -255,11 +255,8 @@ def _field_labels(F: Field, m: int, n: int):
     (x1, x2) -> (y1, y2) has the counts T[x1][y1][x2 - y2] and
     T[y1][x1][y2 - x2].  Only the vertices (0, t) and (1, t) are labelled
     from T, so only its rows T[x][y] and T[y][x] for x in {0, 1} are
-    made.  Every other vertex (x1, x2) is the image of (1, t), with
-    t = x2 * x1^-(m+n), under the automorphism psi_x1 (psi_automorphism),
-    which carries the head (y1 / x1, .) of (1, t) to the head (y1, .) of
-    (x1, x2) and keeps labels; so its row is that of (1, t) read through
-    y1 -> y1 / x1.
+    made.  psi_(1/x1) (digraph.psi) keeps labels and carries (x1, x2),
+    x1 != 0, to some (1, t), whose row it reads through y1 -> y1 / x1.
     """
     q = F.q
     base = q * q + 1
@@ -286,11 +283,9 @@ def _field_labels(F: Field, m: int, n: int):
         out.extend(map(list, zip(*cols)))
     ones = out[q:]                                      # rows of (1, t)
     for x1 in range(2, q):
-        inv = F.inv(x1)
-        # q >= 3 here, so the getter returns a tuple
-        read = itemgetter(*mul[inv])                    # y1 -> y1 / x1
-        out.extend([list(read(ones[t]))
-                    for t in mul[F.pow(inv, m + n)]])   # x2 / x1^(m+n)
+        xs, ys = psi(F, m, n, F.inv(x1))
+        read = itemgetter(*xs)          # y1 -> y1 / x1, a tuple as q >= 3
+        out.extend([list(read(ones[t])) for t in ys])
     return out
 
 

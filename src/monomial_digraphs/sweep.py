@@ -45,10 +45,8 @@ class SweepReport:
 
 
 def prime_powers(q_min: int, q_max: int):
-    return list(_prime_powers(q_min, q_max))
-
-
-def _prime_powers(q_min, q_max):
+    """The prime powers in [q_min, q_max], ascending, one at a time, so a
+    caller can stop at the first past a bound."""
     for q in range(max(q_min, 2), q_max + 1):
         try:
             factor_prime_power(q)
@@ -242,7 +240,7 @@ def _sweep_qs(q_min, q_max, m1_only, budget):
     if q_min > q_max:
         raise ValueError(f"qmin = {q_min} exceeds qmax = {q_max}")
     qs = []
-    for q in _prime_powers(q_min, q_max):
+    for q in prime_powers(q_min, q_max):
         if not (m1_only and q % 2 == 0):
             check_order(q)          # before the rest of the range is listed
             qs.append(q)

@@ -105,7 +105,13 @@ def test_too_many_vertices_is_domain_error(capsys, argv):
     ("field-info", "3", "100000000"),
     # a prime near 10^18: no trial division up to its square root
     ("iso", "1000000000000000003", "1", "2", "1", "3"),
-    ("field-info", "1000000000000000003", "1")])
+    ("field-info", "1000000000000000003", "1"),
+    # sweep ranges near 10^18: each q is factored by integer roots and
+    # Miller-Rabin, so the first prime power, 10^18 + 3, is found at once
+    ("sweep", "--qmin", "1000000000000000003",
+     "--qmax", "1000000000000000003"),
+    ("sweep", "--qmin", "1000000000000000000",
+     "--qmax", "1000000000000000100")])
 def test_large_q_is_domain_error_at_once(capsys, argv):
     t0 = time.perf_counter()
     code, out, err = run(capsys, *argv)

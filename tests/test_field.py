@@ -170,11 +170,58 @@ def test_power_table_rows_are_powers(q):
 def test_factor_prime_power():
     assert factor_prime_power(27) == (3, 3)
     assert factor_prime_power(17) == (17, 1)
-    # divisors are tried only up to the square root
     assert factor_prime_power(1000000007) == (1000000007, 1)
     with pytest.raises(ValueError):
         factor_prime_power(12)
     assert is_prime(2) and not is_prime(1)
+
+
+def _trial_factor_prime_power(q):
+    """factor_prime_power as it was, by trial division up to the square
+    root of q, kept as the oracle."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    n, e = q, 0
+    while n % p == 0:
+        n, e = n // p, e + 1
+    if n != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
+
+
+def _factor_or_none(factor, q):
+    try:
+        return factor(q)
+    except ValueError:
+        return None
+
+
+# semiprimes, prime powers and a strong pseudoprime to the bases 2..23
+# (149491 * 747451 * 34233211), each with a small enough factor for the
+# trial division of the oracle
+LARGE_Q = (10007 * 1000000007, 99989 * 99991, 65537 ** 2 * 3,
+           1000003 ** 2, 65537 ** 3, 3 ** 40, 2 ** 61, 10 ** 18,
+           3825123056546413051, 1000003 * 1000033)
+
+
+@pytest.mark.parametrize("qs", [range(-2, 1 << 16), LARGE_Q])
+def test_factor_prime_power_matches_trial_division(qs):
+    for q in qs:
+        assert _factor_or_none(factor_prime_power, q) == \
+            _factor_or_none(_trial_factor_prime_power, q), q
+
+
+def test_factor_prime_power_beyond_trial_division():
+    mersenne = 2 ** 61 - 1
+    assert factor_prime_power(mersenne) == (mersenne, 1)
+    assert factor_prime_power(mersenne ** 2) == (mersenne, 2)
+    assert factor_prime_power(10 ** 18 + 3) == (10 ** 18 + 3, 1)
+    with pytest.raises(ValueError):
+        factor_prime_power((10 ** 9 + 7) * (10 ** 9 + 9))
+    # the smallest strong pseudoprime to the bases 2..37, which base 41
+    # exposes
+    assert not is_prime(318665857834031151167461)
 
 
 def test_lagrange_interpolation_roundtrip():

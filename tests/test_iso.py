@@ -65,8 +65,11 @@ def test_psi_is_automorphism_of_order_six():
 
 
 def test_psi_rejects_zero():
-    with pytest.raises(ValueError):
-        psi_automorphism(field_for_order(5), 1, 1, 0)
+    # c is an element index 1..q-1: -1 is not the element -1, and q none
+    for q in (5, 9):
+        for c in (0, -1, q):
+            with pytest.raises(ValueError):
+                psi_automorphism(field_for_order(q), 1, 2, c)
 
 
 def test_verify_mapping_examples():
@@ -630,6 +633,22 @@ def test_known_automorphisms_are_automorphisms(q, pairs):
         assert len({tuple(f) for f in maps}) == order
         for f in maps:
             assert verify_mapping(D, D, f)
+
+
+@pytest.mark.parametrize("q", [4, 5, 8, 9])
+def test_known_automorphisms_contain_psi(q):
+    # the element with j = 0 and t = 0 is psi_c, as psi_automorphism
+    # makes it, for every c
+    F = field_for_order(q)
+    s = q if F.p == 2 else 1
+    for m in range(1, q):
+        for n in range(1, q):
+            D = build(q, m, n)
+            _, apply = iso._known_automorphisms(D)
+            for c in range(1, q):
+                g = (c - 1) * F.e * s
+                assert [apply(g, v) for v in range(D.n)] == \
+                    psi_automorphism(F, m, n, c), (m, n, c)
 
 
 def _pruned_and_unpruned(D1, D2):

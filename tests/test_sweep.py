@@ -18,9 +18,9 @@ sweep_mod = importlib.import_module("monomial_digraphs.sweep")
 
 
 def test_prime_powers():
-    assert prime_powers(2, 13) == [2, 3, 4, 5, 7, 8, 9, 11, 13]
-    assert prime_powers(10, 10) == []
-    assert prime_powers(25, 27) == [25, 27]
+    assert list(prime_powers(2, 13)) == [2, 3, 4, 5, 7, 8, 9, 11, 13]
+    assert list(prime_powers(10, 10)) == []
+    assert list(prime_powers(25, 27)) == [25, 27]
 
 
 def test_sweep_q2():
