@@ -90,8 +90,6 @@ def _poly_mulmod(a, b, mod, p):
 def _is_irreducible(poly, p):
     """Trial division by every monic polynomial of degree <= deg/2."""
     deg = len(poly) - 1
-    if poly[0] == 0:  # divisible by X
-        return deg == 1
     for d in range(1, deg // 2 + 1):
         for k in range(p ** d):
             den = _digits(k, p, d) + [1]
@@ -135,31 +133,25 @@ class Field:
     def elements(self):
         return range(self.q)
 
-    def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
+    def _plus(self, a: int, b: int, s: int) -> int:
+        """a + s*b digit by digit: (a + s*b) % p is its lowest digit."""
         p = self.p
         res, mult = 0, 1
         while a or b:
-            res += ((a % p + b % p) % p) * mult
+            res += (a + s * b) % p * mult
             a //= p
             b //= p
             mult *= p
         return res
 
+    def add(self, a: int, b: int) -> int:
+        return self._plus(a, b, 1)
+
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        p = self.p
-        res, mult = 0, 1
-        while a:
-            res += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return res
+        return self._plus(0, a, -1)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._plus(a, b, -1)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -180,8 +172,11 @@ class Field:
         return self.exp[(m * self.log[a]) % (self.q - 1)]
 
     def powers(self, k: int):
-        """[x^k for x in GF(q)], for k >= 1."""
-        return [self.pow(x, k) for x in range(self.q)]
+        """[x^k for x in GF(q)], for k >= 1, read from exp/log."""
+        if k < 1:
+            raise ValueError("0 raised to a non-positive power")
+        q1, exp, log = self.q - 1, self.exp, self.log
+        return [0] + [exp[k * log[x] % q1] for x in range(1, self.q)]
 
     @cached_property
     def mul_table(self):
@@ -199,9 +194,7 @@ class Field:
     def power_table(self):
         """power_table[k] = [x^k for x in GF(q)] for 1 <= k <= q-1; row 0
         is None, since 0^0 is not defined here."""
-        q1, exp, log = self.q - 1, self.exp, self.log
-        return [None] + [[0] + [exp[k * log[x] % q1] for x in range(1, self.q)]
-                         for k in range(1, self.q)]
+        return [None] + [self.powers(k) for k in range(1, self.q)]
 
 
 def make_field(p: int, e: int) -> Field:

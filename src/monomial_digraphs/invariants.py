@@ -205,8 +205,8 @@ def trinomial_root_count(F: Field, d: int) -> int:
     if d < 1:
         raise ValueError("d must be >= 1")
     two = F.add(1, 1)
-    return sum(F.add(F.sub(F.pow(x, d), F.mul(two, x)), 1) == 0
-               for x in F.elements())
+    return sum(F.add(F.sub(xd, F.mul(two, x)), 1) == 0
+               for x, xd in enumerate(F.powers(d)))
 
 
 @dataclass(frozen=True)

@@ -72,10 +72,10 @@ def power_map(F: Field, k: int):
     """The vertex map (x, y) -> (x^k, y) as a permutation of ids.
 
     With gcd(k, q-1) = 1 this maps D(q; m2, n2) onto D(q; m1, n1) whenever
-    k*m1 = m2 and k*n1 = n2 mod (q-1).
+    k*m1 = m2 and k*n1 = n2 mod (q-1); ValueError for k < 1.
     """
     q = F.q
-    xs = [F.pow(x, k) if x else 0 for x in range(q)]
+    xs = F.powers(k)
     return [xs[v // q] * q + (v % q) for v in range(q * q)]
 
 

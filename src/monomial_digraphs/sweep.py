@@ -56,16 +56,19 @@ def prime_powers(q_min: int, q_max: int):
 
 
 class CacheCorruptError(OSError):
-    """A cache line other than the last one does not decode."""
+    """A cache line is neither a record nor a torn last record."""
+
+
+_RECORD_START = b'{"q": '               # how every line put writes begins
 
 
 class ProfileCache:
     """Append-only JSONL cache of invariant profiles keyed by (q, m, n).
 
-    A corrupt trailing line (truncated write) is dropped on reload with a
-    warning on stderr, and the file is cut back to the end of its last
-    good line so that new records start on a line of their own.  A corrupt
-    line before the last raises CacheCorruptError.
+    A torn last line (it begins as put's records do, or as a prefix of
+    that, and does not decode) is dropped with a warning on stderr and cut
+    off, so that new records start on a line of their own.  Any other bad
+    line raises CacheCorruptError and leaves the file as it was.
     """
 
     def __init__(self, path):
@@ -92,7 +95,9 @@ class ProfileCache:
                 key = (rec["q"], rec["m"], rec["n"])
                 prof = invariants.InvariantProfile(**_profile_kwargs(rec["profile"]))
             except (ValueError, KeyError, TypeError) as exc:
-                if any(lines[i + 1:]):
+                torn = (isinstance(exc, json.JSONDecodeError) and
+                        _RECORD_START.startswith(line[:len(_RECORD_START)]))
+                if not torn or any(lines[i + 1:]):
                     raise CacheCorruptError(
                         f"corrupt cache line {i + 1} in {self.path}: "
                         f"{exc}") from exc

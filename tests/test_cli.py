@@ -170,6 +170,26 @@ def test_sweep_bad_arguments_leave_cache_alone(capsys, tmp_path, argv):
     assert cache.read_text(encoding="utf-8") == torn
 
 
+@pytest.mark.parametrize("text", [
+    b"notes", b"notes\n", b"[1,2]", b"[1,2]\n",
+    # a whole record that begins like one but lacks its profile
+    b'{"q": 3, "m": 1, "n": 2}\n',
+])
+def test_sweep_leaves_a_non_cache_file_alone(capsys, tmp_path, text):
+    # only a last line that begins as a record does and fails to decode is
+    # a torn write; any other bad line exits 3 with the file as it was
+    cache = tmp_path / "notes.txt"
+    good = tmp_path / "good.jsonl"
+    run(capsys, "sweep", "--qmin", "8", "--qmax", "8", "--cache", str(good))
+    for data in (text, good.read_bytes() + text):
+        cache.write_bytes(data)
+        code, out, err = run(capsys, "sweep", "--qmin", "2", "--qmax", "3",
+                             "--cache", str(cache))
+        assert (code, out) == (3, "")
+        assert "corrupt cache line" in err
+        assert cache.read_bytes() == data
+
+
 def test_iso_json_byte_stable(capsys):
     _, out1, _ = run(capsys, "iso", "17", "1", "4", "1", "12", "--json")
     _, out2, _ = run(capsys, "iso", "17", "1", "4", "1", "12", "--json")

@@ -5,7 +5,7 @@ import pytest
 from monomial_digraphs.field import (make_field, field_for_order,
                                      factor_prime_power, is_prime, gcd_bar,
                                      units_mod, lagrange_interpolate,
-                                     poly_eval)
+                                     poly_eval, _is_irreducible)
 from monomial_digraphs.sweep import prime_powers
 
 PRIME_POWERS_27 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27]
@@ -162,9 +162,68 @@ def test_power_table_rows_are_powers(q):
     table = F.power_table
     assert len(table) == q and table[0] is None
     for k in range(1, q):
-        assert table[k] == F.powers(k)
+        assert table[k] == [F.pow(x, k) for x in range(q)]
     # a cached property: made on first use, then kept on the Field
     assert F.power_table is table
+
+
+def _digit_oracle(q, p, a, b, s):
+    """a + s*b in GF(q), from the base-p digits of a and b by divmod."""
+    res, mult = 0, 1
+    for _ in range(q.bit_length()):
+        (a, da), (b, db) = divmod(a, p), divmod(b, p)
+        res += (da + s * db) % p * mult
+        mult *= p
+    return res
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 32, 49, 64, 81, 125, 128])
+def test_add_sub_neg_match_digit_oracle(q):
+    F = field_for_order(q)
+    for a in range(q):
+        assert F.neg(a) == _digit_oracle(q, F.p, 0, a, -1), a
+        for b in range(q):
+            assert F.add(a, b) == _digit_oracle(q, F.p, a, b, 1), (a, b)
+            assert F.sub(a, b) == _digit_oracle(q, F.p, a, b, -1), (a, b)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_27 + [32, 49, 64])
+def test_powers_match_pow(q):
+    F = field_for_order(q)
+    for k in range(1, 3 * q + 1):
+        assert F.powers(k) == [F.pow(x, k) for x in range(q)], k
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            F.powers(k)
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return tuple(out)
+
+
+def _monic(p, d):
+    """Every monic polynomial of degree d over GF(p), low-degree-first."""
+    for k in range(p ** d):
+        yield tuple(k // p ** i % p for i in range(d)) + (1,)
+
+
+def test_is_irreducible_matches_product_oracle():
+    # a monic polynomial of degree e is reducible iff it is the product of
+    # two monic polynomials of degrees d and e - d with 1 <= d < e
+    for p in (x for x in range(2, 257) if is_prime(x)):
+        for e in range(1, 257):
+            if p ** e > 256:
+                break
+            reducible = {_poly_mul(f, g, p)
+                         for d in range(1, e)
+                         for f in _monic(p, d) for g in _monic(p, e - d)}
+            for c in _monic(p, e):
+                assert _is_irreducible(list(c), p) == (c not in reducible), \
+                    (p, c)
 
 
 def test_factor_prime_power():

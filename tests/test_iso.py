@@ -46,6 +46,14 @@ def test_power_map_is_isomorphism():
         assert verify_mapping(build(q, m2, n2), build(q, m1, n1), mapping)
 
 
+def test_power_map_rejects_nonpositive_k():
+    # x -> x^0 would send every nonzero x to 1: no permutation
+    F = field_for_order(5)
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            power_map(F, k)
+
+
 def test_psi_is_automorphism_of_order_six():
     F = field_for_order(7)
     D = build(7, 1, 2)
