@@ -8,7 +8,7 @@ that returns checkable certificates.
 import math
 import time
 from collections import Counter
-from itertools import count
+from itertools import compress, count
 from operator import add, itemgetter
 from dataclasses import dataclass
 
@@ -301,7 +301,61 @@ def _signatures(D, colors):
         yield c, tuple(sorted(map(add, map(get, nbrs), labels)))
 
 
-def _refine(D1, D2, c1, c2, rounds=None):
+def _recolour(D, colors, moved, number):
+    """map(number, _signatures(D, colors)), from fewer signatures.
+
+    `moved` lists the vertices whose cell changed since the colouring was
+    last stable: all pieces but one of each cell that split (see _moved).
+    Only the vertices in `moved` and those with an out-arc into it are
+    signed; every other vertex takes the colour that number gave the
+    first unsigned vertex of its cell.  Their signatures are equal: the
+    vertices of a cell had equal (colour, label) multisets under the
+    colouring before, and the arcs of an unsigned vertex into each cell
+    of that colouring all land in the one piece of it left out of
+    `moved`.  `number` must give equal signatures one colour; numbering
+    by first appearance is unchanged, as a skipped signature is never
+    the first of its kind.
+    """
+    S = (D.n + 1) ** 2
+    shifted = [c * S for c in colors]
+    get = shifted.__getitem__
+    adj, labels = D.adj, _edge_labels(D)
+    signed = set(moved)
+    for v in moved:
+        signed.update(D.radj[v])
+    kept = {}                   # colour -> new colour of its unsigned cell
+    for u, c in enumerate(colors):
+        if u in signed or c not in kept:
+            new = number((c, tuple(sorted(map(add, map(get, adj[u]),
+                                              labels[u])))))
+            if u not in signed:
+                kept[c] = new
+            yield new
+        else:
+            yield kept[c]
+
+
+def _moved(old, new):
+    """The vertices, ascending, in every piece but the largest of each
+    cell of `old` that the refinement `new` splits; of two largest pieces
+    the one met first stays out.  A cell that did not split adds nothing.
+    """
+    parent = dict(zip(new, old))        # new colour -> old colour
+    if len(parent) == len(set(old)):    # no split: most last rounds
+        return []
+    pieces = {}                         # old colour -> its new colours
+    for b, a in parent.items():
+        pieces.setdefault(a, []).append(b)
+    size = Counter(new)
+    out = set()
+    for colours in pieces.values():
+        if len(colours) > 1:
+            colours.remove(max(colours, key=size.__getitem__))
+            out.update(colours)
+    return list(compress(count(), map(out.__contains__, new)))
+
+
+def _refine(D1, D2, c1, c2, rounds=None, moved1=None, moved2=None):
     """Jointly refine colorings until stable.
 
     A vertex's signature is its colour and the multiset of (colour,
@@ -315,9 +369,14 @@ def _refine(D1, D2, c1, c2, rounds=None):
     colour None, which the histogram check rejects.  `rounds` is the list
     of D1's rounds from c1, filled as far as a call needs it, so that
     calls with the same c1 share it; by default it is made afresh.
-    Returns refined (c1, c2), or None when the color histograms of the
-    two digraphs separate (certain non-isomorphism under the current
-    individualizations).
+    moved1 and moved2 are the vertices of each digraph whose cell changed
+    since its colouring was last stable, or None when it never was, as at
+    the root, where nearly every cell splits.  With them a round signs
+    only the vertices next to a split cell (see _recolour), and the next
+    round's moved vertices of D1 are kept with its round.  The colours
+    are the same either way.  Returns refined (c1, c2), or None
+    when the color histograms of the two digraphs separate (certain
+    non-isomorphism under the current individualizations).
     """
     if rounds is None:
         rounds = []
@@ -325,16 +384,27 @@ def _refine(D1, D2, c1, c2, rounds=None):
     for r in count():
         if r == len(rounds):
             table = {}
-            new1 = [table.setdefault(sig, len(table))
-                    for sig in _signatures(D1, c1)]
-            rounds.append((table, new1, Counter(new1)))
-        table, new1, hist1 = rounds[r]
-        new2 = list(map(table.get, _signatures(D2, c2)))
+            if moved1 is None:
+                new1 = [table.setdefault(sig, len(table))
+                        for sig in _signatures(D1, c1)]
+                after = None
+            else:
+                new1 = list(_recolour(D1, c1, moved1, lambda sig:
+                                      table.setdefault(sig, len(table))))
+                after = _moved(c1, new1)
+            rounds.append((table, new1, Counter(new1), after))
+        table, new1, hist1, moved1 = rounds[r]
+        if moved2 is None:
+            new2 = list(map(table.get, _signatures(D2, c2)))
+        else:
+            new2 = list(_recolour(D2, c2, moved2, table.get))
         if Counter(new2) != hist1:
             return None
         if len(table) == ncolors:
             return new1, new2
         ncolors = len(table)
+        if moved2 is not None:
+            moved2 = _moved(c2, new2)
         c1, c2 = new1, new2
 
 
@@ -390,13 +460,15 @@ def iso_search(D1: Digraph, D2: Digraph,
     group = _known_automorphisms(D2) if len(set(root[0])) < D1.n else None
     stab, apply = group or ([], None)
     nodes = 0
-    # One frame per individualized vertex v of D1: n1, the refined
+    # One frame per individualized vertex v of D1: v, n1, the refined
     # colouring of D1 with v given the fresh colour, the refined colouring
     # c2 of D2 it branches from, `stab`, the pointwise stabilizer within
     # the known automorphisms of D2 of the D2 vertices individualized
     # above it, the fresh colour, the candidates w in D2 not yet taken,
     # the `tried` orbits of those already taken and D1's refinement rounds
-    # from n1, which every candidate shares (see _refine).
+    # from n1, which every candidate shares (see _refine).  The colourings
+    # branched from are stable, so only v and w have moved: their
+    # refinement signs only the vertices next to a split cell.
     stack = []
     node = (*root, stab)            # refined colourings still to expand
     while True:
@@ -417,15 +489,16 @@ def iso_search(D1: Digraph, D2: Digraph,
                             key=lambda c: (len(classes1[c]), classes1[c][0]))
                 # refined colours are 0 .. len(classes1) - 1
                 fresh = len(classes1)
+                v = classes1[color][0]
                 n1 = list(c1)
-                n1[classes1[color][0]] = fresh
-                stack.append((n1, c2, stab, fresh, iter(classes2[color]),
+                n1[v] = fresh
+                stack.append((v, n1, c2, stab, fresh, iter(classes2[color]),
                               set(), []))
         if not stack:
             return IsoCertificate("NonIso", witness="search-exhausted",
                                   nodes=nodes,
                                   seconds=time.perf_counter() - t0)
-        n1, c2, stab, fresh, candidates, tried, rounds = stack[-1]
+        v, n1, c2, stab, fresh, candidates, tried, rounds = stack[-1]
         w = next(candidates, None)
         if w is None:
             stack.pop()
@@ -441,7 +514,7 @@ def iso_search(D1: Digraph, D2: Digraph,
         tried.update(apply(g, w) for g in stab)
         n2 = list(c2)
         n2[w] = fresh
-        refined = _refine(D1, D2, n1, n2, rounds)
+        refined = _refine(D1, D2, n1, n2, rounds, [v], [w])
         if refined is not None:
             # descend; kept for every frame on the stack, the rounds would
             # hold several colour tables per level

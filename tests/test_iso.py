@@ -441,11 +441,13 @@ def _four_count_labels(D):
     return D._four_count_labels
 
 
-def _two_sided_refine(D1, D2, c1, c2, rounds=None):
+def _two_sided_refine(D1, D2, c1, c2, rounds=None, moved1=None,
+                      moved2=None):
     """Reference refinement, patched in with _four_count_labels as
     iso._edge_labels: each signature also holds the multiset of (colour,
     label) over the in-arcs, read from the (out, in) label lists.  It
-    ignores `rounds` and refines both digraphs afresh at every call."""
+    ignores `rounds` and the moved vertices and refines both digraphs
+    afresh at every call."""
     n = D1.n
     lab1 = iso._edge_labels(D1)
     lab2 = iso._edge_labels(D2)
@@ -542,9 +544,9 @@ def test_search_refinements_match_tuple_refinement(monkeypatch):
     refine = iso._refine
     outcomes = Counter()
 
-    def checked(D1, D2, c1, c2, rounds=None):
+    def checked(D1, D2, c1, c2, rounds=None, moved1=None, moved2=None):
         reused = bool(rounds)
-        got = refine(D1, D2, c1, c2, rounds)
+        got = refine(D1, D2, c1, c2, rounds, moved1, moved2)
         assert got == _tuple_refine(D1, D2, c1, c2)
         outcomes[got is None, reused] += 1
         return got
@@ -580,6 +582,60 @@ def test_two_count_labels_match_four_count_reference(monkeypatch):
     assert any(c[2]["nodes"] > 0 for c in certs)
     for p1, p2, cert, ref in certs:
         assert cert == ref, (p1, p2)
+
+
+def test_moved_leaves_out_the_largest_piece():
+    # cell 0 splits into {0, 3} and the larger {1, 2, 4}; cell 1 does not
+    # split; cell 2 splits into {7} and {8}, a tie, so {7}, met first,
+    # stays out
+    old = [0, 0, 0, 0, 0, 1, 1, 2, 2]
+    new = [0, 1, 1, 0, 1, 2, 2, 3, 4]
+    assert iso._moved(old, new) == [0, 3, 8]
+    assert iso._moved(old, old) == []
+    # a three-way tie leaves out the first piece met only
+    assert iso._moved([5, 5, 5], [2, 1, 0]) == [1, 2]
+
+
+def _check_moved_refinement(monkeypatch):
+    """Patch iso._refine to run every call twice, with its moved vertices
+    and with None, which signs every vertex in every round; the results
+    and D1's rounds (tables, colourings and histograms) must be equal.
+    Returns the Counter of calls by whether they had moved vertices."""
+    refine = iso._refine
+    calls = Counter()
+
+    def both(D1, D2, c1, c2, rounds=None, moved1=None, moved2=None):
+        full_rounds = []
+        full = refine(D1, D2, c1, c2, full_rounds)
+        if rounds is None:
+            rounds = []
+        got = refine(D1, D2, c1, c2, rounds, moved1, moved2)
+        assert got == full
+        assert ([r[:3] for r in rounds[:len(full_rounds)]]
+                == [r[:3] for r in full_rounds])
+        calls[moved1 is not None and moved2 is not None] += 1
+        return got
+
+    monkeypatch.setattr(iso, "_refine", both)
+    return calls
+
+
+def test_moved_refinement_matches_full_refinement_in_the_sweep(monkeypatch):
+    calls = _check_moved_refinement(monkeypatch)
+    sweep_mod.sweep(2, 19)
+    assert calls[True] > 0 and calls[False] > 0
+
+
+@pytest.mark.parametrize("q, m1, n1, m2, n2, nodes", [
+    (16, 3, 6, 3, 9, 42),
+    (25, 3, 6, 3, 18, 402),
+], ids=["16-3-6-3-9", "25-3-6-3-18"])
+def test_moved_refinement_matches_full_refinement_deep(monkeypatch, q, m1,
+                                                       n1, m2, n2, nodes):
+    D1, D2 = build(q, m1, n1), build(q, m2, n2)
+    calls = _check_moved_refinement(monkeypatch)
+    assert iso_search(D1, D2).nodes == nodes
+    assert calls == {False: 1, True: nodes}
 
 
 _NULL_SHA = "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"
