@@ -7,8 +7,9 @@ that returns checkable certificates.
 
 import math
 import time
+from array import array
 from collections import Counter
-from itertools import compress, count
+from itertools import accumulate, chain, compress, count
 from operator import add, itemgetter
 from dataclasses import dataclass
 
@@ -301,38 +302,64 @@ def _signatures(D, colors):
         yield c, tuple(sorted(map(add, map(get, nbrs), labels)))
 
 
-def _recolour(D, colors, moved, number):
-    """map(number, _signatures(D, colors)), from fewer signatures.
+def _in_arcs(D):
+    """The in-arcs of each vertex, aligned with D.radj: in_arcs[v][i] is
+    u * W + label for the arc u = radj[v][i] -> v and its _edge_labels
+    label, with W = (n + 1) ** 3.  A colour c <= n packs with a label as
+    c * S + label < W (see _signatures), so adding it keeps u apart.
+    Each row is an int64 array, which is smaller than a list of these
+    ints and quicker to read, for n up to 55,000.  Made once per digraph
+    and kept on it."""
+    if getattr(D, "_iso_in_arcs", None) is None:
+        W = (D.n + 1) ** 3
+        rows = [array("q") for _ in range(D.n)]
+        for u, (nbrs, labels) in enumerate(zip(D.adj, _edge_labels(D))):
+            uW = u * W
+            for v, label in zip(nbrs, labels):
+                rows[v].append(uW + label)
+        D._iso_in_arcs = rows
+    return D._iso_in_arcs
+
+
+def _recolour(D, colors, moved):
+    """Each vertex's key for one round below the root, a list aligned
+    with `colors`.
 
     `moved` lists the vertices whose cell changed since the colouring was
     last stable: all pieces but one of each cell that split (see _moved).
-    Only the vertices in `moved` and those with an out-arc into it are
-    signed; every other vertex takes the colour that number gave the
-    first unsigned vertex of its cell.  Their signatures are equal: the
-    vertices of a cell had equal (colour, label) multisets under the
-    colouring before, and the arcs of an unsigned vertex into each cell
-    of that colouring all land in the one piece of it left out of
-    `moved`.  `number` must give equal signatures one colour; numbering
-    by first appearance is unchanged, as a skipped signature is never
-    the first of its kind.
+    A vertex with out-arcs into `moved` gets the key (its colour, the
+    sorted colour * S + label of those arcs, as _signatures packs them,
+    written as int64 bytes); every other vertex gets its colour alone,
+    which stands for (colour, b"").  Within a cell, keys split exactly
+    as the signatures of _signatures do, by the "all but one piece"
+    argument of Hopcroft's algorithm: the vertices of a cell had equal
+    (colour, label) multisets under the colouring before, so the arcs
+    into the piece left out of `moved` are those into its old cell less
+    those into the other pieces.  Two digraphs get equal keys for equal
+    signatures when they leave out the pieces of the same colours.
+
+    The keys are made by walking the in-arcs of the moved vertices, not
+    the out-arcs of every vertex: one sort of all those arcs, each packed
+    with its tail, puts the arcs of each tail in one sorted run.  A run
+    is kept as bytes, one object, where a tuple of ints would also leave
+    CPython's per-length tuple free lists full (about 0.4 MB at q = 16).
     """
+    W = (D.n + 1) ** 3
     S = (D.n + 1) ** 2
-    shifted = [c * S for c in colors]
-    get = shifted.__getitem__
-    adj, labels = D.adj, _edge_labels(D)
-    signed = set(moved)
-    for v in moved:
-        signed.update(D.radj[v])
-    kept = {}                   # colour -> new colour of its unsigned cell
-    for u, c in enumerate(colors):
-        if u in signed or c not in kept:
-            new = number((c, tuple(sorted(map(add, map(get, adj[u]),
-                                              labels[u])))))
-            if u not in signed:
-                kept[c] = new
-            yield new
-        else:
-            yield kept[c]
+    in_arcs = _in_arcs(D)
+    arcs = []
+    for x in moved:
+        arcs.extend(map((colors[x] * S).__add__, in_arcs[x]))
+    arcs.sort()                 # by tail, then by colour * S + label
+    # the arcs of each tail are one run of the sorted list
+    degree = Counter(chain.from_iterable(map(D.radj.__getitem__, moved)))
+    tails = sorted(degree)
+    # u * W + colour * S + label -> colour * S + label, 8 bytes each
+    packed = array("q", map(W.__rmod__, arcs)).tobytes()
+    bounds = [8 * i for i in accumulate(map(degree.__getitem__, tails))]
+    runs = map(packed.__getitem__, map(slice, [0, *bounds], bounds))
+    keys = dict(zip(tails, zip(map(colors.__getitem__, tails), runs)))
+    return list(map(keys.get, range(D.n), colors))
 
 
 def _moved(old, new):
@@ -371,40 +398,52 @@ def _refine(D1, D2, c1, c2, rounds=None, moved1=None, moved2=None):
     calls with the same c1 share it; by default it is made afresh.
     moved1 and moved2 are the vertices of each digraph whose cell changed
     since its colouring was last stable, or None when it never was, as at
-    the root, where nearly every cell splits.  With them a round signs
-    only the vertices next to a split cell (see _recolour), and the next
-    round's moved vertices of D1 are kept with its round.  The colours
-    are the same either way.  Returns refined (c1, c2), or None
-    when the color histograms of the two digraphs separate (certain
-    non-isomorphism under the current individualizations).
+    the root, where nearly every cell splits.  With them a round that
+    moves at most a quarter of the vertices keys each vertex by its arcs
+    into the moved vertices only (see _recolour), and its table maps
+    those keys, not signatures, to colours.  D1's moved vertices for the
+    next round are kept with its round; D2's are those whose colour is
+    one of D1's moved colours, so that both digraphs leave out the same
+    piece of every split cell even when two pieces tie in size, and both
+    move as many vertices.  The colourings are those of full rounds
+    either way.  Returns refined (c1, c2), or None when the color
+    histograms of the two digraphs separate (certain non-isomorphism
+    under the current individualizations).
     """
     if rounds is None:
         rounds = []
     ncolors = len(set(c1) | set(c2))
     for r in count():
+        # A round that moves over a quarter of the vertices signs every
+        # vertex, as at the root: a sort per vertex costs about a quarter
+        # as much per arc as _recolour's one sort of the arcs into `moved`
+        # (timed round by round at q = 16, 25 and 64).
+        full = moved1 is None or 4 * len(moved1) > D1.n
         if r == len(rounds):
-            table = {}
-            if moved1 is None:
+            if full:
+                table = {}
                 new1 = [table.setdefault(sig, len(table))
                         for sig in _signatures(D1, c1)]
-                after = None
             else:
-                new1 = list(_recolour(D1, c1, moved1, lambda sig:
-                                      table.setdefault(sig, len(table))))
-                after = _moved(c1, new1)
-            rounds.append((table, new1, Counter(new1), after))
+                keys = _recolour(D1, c1, moved1)
+                # numbered by first appearance, as the signatures are
+                table = dict(zip(dict.fromkeys(keys), count()))
+                new1 = list(map(table.__getitem__, keys))
+            after = None if moved1 is None else _moved(c1, new1)
+            rounds.append((table, new1, dict(Counter(new1)), after))
         table, new1, hist1, moved1 = rounds[r]
-        if moved2 is None:
+        if full:
             new2 = list(map(table.get, _signatures(D2, c2)))
         else:
-            new2 = list(_recolour(D2, c2, moved2, table.get))
-        if Counter(new2) != hist1:
+            new2 = list(map(table.get, _recolour(D2, c2, moved2)))
+        if dict(Counter(new2)) != hist1:
             return None
         if len(table) == ncolors:
             return new1, new2
         ncolors = len(table)
         if moved2 is not None:
-            moved2 = _moved(c2, new2)
+            colours = set(map(new1.__getitem__, moved1))
+            moved2 = list(compress(count(), map(colours.__contains__, new2)))
         c1, c2 = new1, new2
 
 
@@ -468,16 +507,17 @@ def iso_search(D1: Digraph, D2: Digraph,
     # the `tried` orbits of those already taken and D1's refinement rounds
     # from n1, which every candidate shares (see _refine).  The colourings
     # branched from are stable, so only v and w have moved: their
-    # refinement signs only the vertices next to a split cell.
+    # refinement reads only the arcs into the cells that split.
     stack = []
     node = (*root, stab)            # refined colourings still to expand
     while True:
         if node is not None:
             c1, c2, stab = node
             node = None
-            classes1 = _classes_by_color(c1)
-            classes2 = _classes_by_color(c2)
-            if len(classes1) == D1.n:
+            # class sizes, the colours in order of their first member
+            size = Counter(c1)
+            if len(size) == D1.n:
+                classes2 = _classes_by_color(c2)
                 mapping = [classes2[c][0] for c in c1]
                 if verify_mapping(D1, D2, mapping):
                     return IsoCertificate("Iso", mapping=tuple(mapping),
@@ -485,15 +525,16 @@ def iso_search(D1: Digraph, D2: Digraph,
                                           seconds=time.perf_counter() - t0)
             else:
                 # smallest non-singleton class; ties by smallest member id
-                color = min((c for c, vs in classes1.items() if len(vs) > 1),
-                            key=lambda c: (len(classes1[c]), classes1[c][0]))
-                # refined colours are 0 .. len(classes1) - 1
-                fresh = len(classes1)
-                v = classes1[color][0]
+                least = min(filter((1).__lt__, size.values()))
+                color = next(compress(size, map(least.__eq__, size.values())))
+                # refined colours are 0 .. len(size) - 1
+                fresh = len(size)
+                v = c1.index(color)
                 n1 = list(c1)
                 n1[v] = fresh
-                stack.append((v, n1, c2, stab, fresh, iter(classes2[color]),
-                              set(), []))
+                # D2's class of that colour, ascending, read lazily
+                candidates = compress(count(), map(color.__eq__, c2))
+                stack.append((v, n1, c2, stab, fresh, candidates, set(), []))
         if not stack:
             return IsoCertificate("NonIso", witness="search-exhausted",
                                   nodes=nodes,
