@@ -322,11 +322,12 @@ def _in_arcs(D):
 
 
 def _recolour(D, colors, moved):
-    """Each vertex's key for one round below the root, a list aligned
-    with `colors`.
+    """Each vertex's key for one round, a list aligned with `colors`.
 
-    `moved` lists the vertices whose cell changed since the colouring was
-    last stable: all pieces but one of each cell that split (see _moved).
+    `moved` lists the vertices whose cell changed in the round before:
+    all pieces but one of each cell that split (see _moved).  A search
+    node's first round starts from a stable colouring in which only the
+    individualized vertex moved.
     A vertex with out-arcs into `moved` gets the key (its colour, the
     sorted colour * S + label of those arcs, as _signatures packs them,
     written as int64 bytes); every other vertex gets its colour alone,
@@ -382,68 +383,62 @@ def _moved(old, new):
     return list(compress(count(), map(out.__contains__, new)))
 
 
+def _round_keys(D, colors, moved):
+    """The keys of one refinement round, one per vertex: the signatures
+    of _signatures when `moved` is None or holds over a quarter of the
+    vertices, else the keys of _recolour.  From a quarter on, a sort per
+    vertex is cheaper: it costs about a quarter as much per arc as
+    _recolour's one sort of the arcs into `moved` (timed round by round
+    at q = 16, 25 and 64)."""
+    if moved is None or 4 * len(moved) > D.n:
+        return _signatures(D, colors)
+    return _recolour(D, colors, moved)
+
+
 def _refine(D1, D2, c1, c2, rounds=None, moved1=None, moved2=None):
     """Jointly refine colorings until stable.
 
     A vertex's signature is its colour and the multiset of (colour,
     label) over its out-arcs (see _signatures).  A second multiset over
     its in-arcs changed no certificate in the sweeps up to q = 49, so it
-    is left out.  Each round numbers D1's signatures first, by first
+    is left out.  Each round numbers D1's keys first, by first
     appearance, so D1's new colours never depend on D2: a round of D1 is
-    its table (signature -> colour), its new colouring and that
-    colouring's histogram, all fixed by c1 alone.  D2's vertices only
-    look their signatures up in that table; one missing from it gets
-    colour None, which the histogram check rejects.  `rounds` is the list
-    of D1's rounds from c1, filled as far as a call needs it, so that
-    calls with the same c1 share it; by default it is made afresh.
-    moved1 and moved2 are the vertices of each digraph whose cell changed
-    since its colouring was last stable, or None when it never was, as at
-    the root, where nearly every cell splits.  With them a round that
-    moves at most a quarter of the vertices keys each vertex by its arcs
-    into the moved vertices only (see _recolour), and its table maps
-    those keys, not signatures, to colours.  D1's moved vertices for the
-    next round are kept with its round; D2's are those whose colour is
-    one of D1's moved colours, so that both digraphs leave out the same
-    piece of every split cell even when two pieces tie in size, and both
-    move as many vertices.  The colourings are those of full rounds
-    either way.  Returns refined (c1, c2), or None when the color
-    histograms of the two digraphs separate (certain non-isomorphism
-    under the current individualizations).
+    its table (key -> colour), its new colouring, that colouring's
+    histogram and its moved vertices, all fixed by c1 alone.  D2's
+    vertices only look their keys up in that table; one missing from it
+    gets colour None, which the histogram check rejects.  `rounds` is the
+    list of D1's rounds from c1, filled as far as a call needs it, so
+    that calls with the same c1 share it; by default it is made afresh.
+    moved1 and moved2 are the vertices of each digraph that moved before
+    the first round (see _recolour), or None, when that round signs every
+    vertex.  Every later round keys by the vertices the round before
+    moved (see _moved and _round_keys).  D2's moved vertices are those
+    whose colour is one of D1's moved colours, so that both digraphs
+    leave out the same piece of every split cell even when two pieces tie
+    in size, and both move as many vertices.  The colourings are those of
+    full rounds either way.  Returns refined (c1, c2), or None when the
+    color histograms of the two digraphs separate (certain
+    non-isomorphism under the current individualizations).
     """
     if rounds is None:
         rounds = []
     ncolors = len(set(c1) | set(c2))
     for r in count():
-        # A round that moves over a quarter of the vertices signs every
-        # vertex, as at the root: a sort per vertex costs about a quarter
-        # as much per arc as _recolour's one sort of the arcs into `moved`
-        # (timed round by round at q = 16, 25 and 64).
-        full = moved1 is None or 4 * len(moved1) > D1.n
         if r == len(rounds):
-            if full:
-                table = {}
-                new1 = [table.setdefault(sig, len(table))
-                        for sig in _signatures(D1, c1)]
-            else:
-                keys = _recolour(D1, c1, moved1)
-                # numbered by first appearance, as the signatures are
-                table = dict(zip(dict.fromkeys(keys), count()))
-                new1 = list(map(table.__getitem__, keys))
-            after = None if moved1 is None else _moved(c1, new1)
-            rounds.append((table, new1, dict(Counter(new1)), after))
+            table = {}
+            new1 = [table.setdefault(key, len(table))
+                    for key in _round_keys(D1, c1, moved1)]
+            rounds.append((table, new1, dict(Counter(new1)),
+                           _moved(c1, new1)))
         table, new1, hist1, moved1 = rounds[r]
-        if full:
-            new2 = list(map(table.get, _signatures(D2, c2)))
-        else:
-            new2 = list(map(table.get, _recolour(D2, c2, moved2)))
+        new2 = list(map(table.get, _round_keys(D2, c2, moved2)))
         if dict(Counter(new2)) != hist1:
             return None
         if len(table) == ncolors:
             return new1, new2
         ncolors = len(table)
-        if moved2 is not None:
-            colours = set(map(new1.__getitem__, moved1))
-            moved2 = list(compress(count(), map(colours.__contains__, new2)))
+        colours = set(map(new1.__getitem__, moved1))
+        moved2 = list(compress(count(), map(colours.__contains__, new2)))
         c1, c2 = new1, new2
 
 
@@ -453,13 +448,6 @@ def stable_coloring(D: Digraph):
     res = _refine(D, D, seeds, seeds)
     assert res is not None
     return res[0]
-
-
-def _classes_by_color(colors):
-    classes = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    return classes
 
 
 def iso_search(D1: Digraph, D2: Digraph,
@@ -517,8 +505,10 @@ def iso_search(D1: Digraph, D2: Digraph,
             # class sizes, the colours in order of their first member
             size = Counter(c1)
             if len(size) == D1.n:
-                classes2 = _classes_by_color(c2)
-                mapping = [classes2[c][0] for c in c1]
+                # colours are 0 .. n - 1: where[c] is D2's vertex of colour
+                # c, where[c2[w]] = w
+                where = sorted(range(D1.n), key=c2.__getitem__)
+                mapping = list(map(where.__getitem__, c1))
                 if verify_mapping(D1, D2, mapping):
                     return IsoCertificate("Iso", mapping=tuple(mapping),
                                           nodes=nodes,

@@ -270,6 +270,22 @@ def test_sweep_report_file_and_cache(capsys, tmp_path):
     assert cache.exists()
 
 
+def test_sweep_cache_from_the_environment(capsys, tmp_path, monkeypatch):
+    # with no --cache the sweep caches to the file that
+    # MONOMIAL_DIGRAPHS_CACHE names; --cache overrides it
+    env_cache = tmp_path / "env.jsonl"
+    flag_cache = tmp_path / "flag.jsonl"
+    monkeypatch.setenv(cli.CACHE_ENV_VAR, str(env_cache))
+    argv = ("sweep", "--qmin", "2", "--qmax", "8")
+    code, _, _ = run(capsys, *argv)
+    records = env_cache.read_bytes()
+    assert code == 0 and records.count(b"\n") > 0
+    env_cache.unlink()
+    code, _, _ = run(capsys, *argv, "--cache", str(flag_cache))
+    assert code == 0 and flag_cache.read_bytes() == records
+    assert not env_cache.exists()
+
+
 def test_sweep_corrupt_cache_is_io_error(capsys, tmp_path):
     cache = tmp_path / "cache.jsonl"
     cache.write_text('{"q": 7, "m": 1, "tru\n{}\n', encoding="utf-8")

@@ -506,6 +506,13 @@ def _tuple_refine(D1, D2, c1, c2):
         c1, c2 = new1, new2
 
 
+def _classes_by_color(colors):
+    classes = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    return classes
+
+
 @pytest.mark.parametrize("pair2", [(3, 9), (6, 12)])
 def test_shared_rounds_match_tuple_refinement(pair2):
     # at the root frame of D(16; 3, 6) vs D(16; pair2) every candidate w
@@ -518,7 +525,7 @@ def test_shared_rounds_match_tuple_refinement(pair2):
     root = iso._refine(D1, D2, seeds1, seeds2)
     assert root == _tuple_refine(D1, D2, seeds1, seeds2)
     c1, c2 = root
-    classes1 = iso._classes_by_color(c1)
+    classes1 = _classes_by_color(c1)
     color = min((c for c, vs in classes1.items() if len(vs) > 1),
                 key=lambda c: (len(classes1[c]), classes1[c][0]))
     fresh = len(classes1)
@@ -526,7 +533,7 @@ def test_shared_rounds_match_tuple_refinement(pair2):
     n1[classes1[color][0]] = fresh
     rounds = []
     results = []
-    for w in iso._classes_by_color(c2)[color]:
+    for w in _classes_by_color(c2)[color]:
         n2 = list(c2)
         n2[w] = fresh
         got = iso._refine(D1, D2, n1, n2, rounds)
@@ -615,7 +622,7 @@ def test_moved_vertices_of_d2_follow_d1_on_a_tie(monkeypatch):
     monkeypatch.setattr(iso, "_recolour", logged)
     n1, n2 = [1, 0, 0, 0], [0, 1, 0, 0]
     got = iso._refine(D1, D2, n1, n2, [], [0], [1])
-    assert got is not None and got == iso._refine(D1, D2, n1, n2)
+    assert got is not None and got == _tuple_refine(D1, D2, n1, n2)
     # calls alternate D1, D2; the third round keys by the second's split
     (a1, m1), (a2, m2) = calls[4], calls[5]
     assert {a1[u] for u in m1} == {a2[u] for u in m2}
@@ -623,13 +630,37 @@ def test_moved_vertices_of_d2_follow_d1_on_a_tie(monkeypatch):
     assert {a2[u] for u in own} != {a2[u] for u in m2}
 
 
+@pytest.mark.parametrize("q, pair1, pair2", [(7, (1, 2), (5, 4)),
+                                             (11, (1, 3), (3, 9))])
+def test_root_rounds_after_the_first_key_by_moved_vertices(monkeypatch, q,
+                                                           pair1, pair2):
+    # two isomorphic digraphs (pair2 = k * pair1 for a unit k); the root
+    # keeps the rule of a search node: its first round signs every
+    # vertex, and a later round that moves at most a quarter of the
+    # vertices keys them by their arcs into the moved ones
+    moved = []
+    recolour = iso._recolour
+
+    def logged(D, colors, m):
+        moved.append(len(m))
+        return recolour(D, colors, m)
+
+    monkeypatch.setattr(iso, "_recolour", logged)
+    D1, D2 = build(q, *pair1), build(q, *pair2)
+    seeds1 = iso.invariants.vertex_seeds(D1)
+    seeds2 = iso.invariants.vertex_seeds(D2)
+    assert iso._refine(D1, D2, seeds1, seeds2) == \
+        _tuple_refine(D1, D2, seeds1, seeds2)
+    assert moved and all(0 < 4 * k <= D1.n for k in moved)
+
+
 def _check_moved_refinement(monkeypatch):
-    """Patch iso._refine to run every call twice, with its moved vertices
-    and with None, which signs every vertex in every round; the results
-    and D1's rounds (colourings, histograms and table sizes) must be
-    equal.  The tables themselves may differ: a round below the root
-    that moves at most a quarter of the vertices keys its table by the
-    arcs into them, not by whole signatures.
+    """Patch iso._refine to run every call twice, as it is and with
+    iso._round_keys patched to sign every vertex in every round; the
+    results and D1's rounds (colourings, histograms and table sizes) must
+    be equal.  The tables themselves may differ: a round that moves at
+    most a quarter of the vertices keys its table by the arcs into them,
+    not by whole signatures.
     Returns the Counter of calls by whether they had moved vertices."""
     refine = iso._refine
     calls = Counter()
@@ -640,7 +671,10 @@ def _check_moved_refinement(monkeypatch):
 
     def both(D1, D2, c1, c2, rounds=None, moved1=None, moved2=None):
         full_rounds = []
-        full = refine(D1, D2, c1, c2, full_rounds)
+        with monkeypatch.context() as m:
+            m.setattr(iso, "_round_keys",
+                      lambda D, colors, moved: iso._signatures(D, colors))
+            full = refine(D1, D2, c1, c2, full_rounds)
         if rounds is None:
             rounds = []
         got = refine(D1, D2, c1, c2, rounds, moved1, moved2)

@@ -148,6 +148,23 @@ def test_counterexample_is_reported_and_sunk(monkeypatch):
                       "mapping": list(range(64))}]
 
 
+def test_q25_counterexamples_are_sunk_with_verified_mappings():
+    # the search's own mappings, unlike the stub's above; the two records
+    # follow the within-class ones
+    sink = []
+    r = sweep_one(25, iso_sink=sink)
+    assert r.counterexamples == [{"pair1": [3, 6], "pair2": [3, 18]},
+                                 {"pair1": [6, 3], "pair2": [6, 9]}]
+    assert len(sink) == r.within_class_checks + 2
+    F = field_for_order(25)
+    for rec, pair in zip(sink[-2:], r.counterexamples):
+        assert (rec["q"], rec["source"], rec["target"]) == \
+            (25, tuple(pair["pair1"]), tuple(pair["pair2"]))
+        assert verify_mapping(build_monomial(F, *rec["source"]),
+                              build_monomial(F, *rec["target"]),
+                              rec["mapping"])
+
+
 def test_cache_roundtrip(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ProfileCache(str(path))
