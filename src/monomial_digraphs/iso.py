@@ -6,7 +6,6 @@ that returns checkable certificates.
 """
 
 import math
-import time
 from array import array
 from collections import Counter
 from itertools import accumulate, chain, compress, count
@@ -35,7 +34,6 @@ class IsoCertificate:
     mapping: tuple | None = None    # vertex permutation, present iff Iso
     witness: str | None = None      # distinguishing invariant / "search-exhausted"
     nodes: int = 0
-    seconds: float = 0.0
 
     def as_dict(self):
         return {
@@ -102,10 +100,10 @@ def _known_automorphisms(D: Digraph):
     from their parameters; no permutation list is kept.  Every element is
     a product of the generators psi at the primitive element, Frob when
     e > 1 and the shifts by p^i when p = 2, which are checked with
-    verify_mapping on D itself, since params need not describe the arcs.
-    Returns None when a generator fails that check or D carries no field
-    or params.  The result is made once per digraph and kept on it, so
-    the generator checks run once however many searches D takes part in.
+    verify_mapping on D itself.  Returns None when a generator fails that
+    check, or when build_monomial did not make D, as for labels and
+    seeds.  The result is made once per digraph and kept on it, so the
+    generator checks run once however many searches D takes part in.
     """
     if not hasattr(D, "_iso_automorphisms"):
         D._iso_automorphisms = _automorphism_family(D)
@@ -114,9 +112,9 @@ def _known_automorphisms(D: Digraph):
 
 def _automorphism_family(D: Digraph):
     """_known_automorphisms(D), made afresh."""
-    F, P = D.field, D.params
-    if F is None or P is None or F.q != P.q or D.n != F.q * F.q:
+    if not isinstance(D, MonomialDigraph):
         return None
+    F, P = D.field, D.params
     q, p, e = F.q, F.p, F.e
     frob = [F.powers(p ** j) for j in range(e)]
     s = q if p == 2 else 1
@@ -199,7 +197,8 @@ def verify_power_map(F: Field, mapping, source, target) -> bool:
 
 
 def conjugate_classes(q: int):
-    """Partition of [1, q-1]^2 into unit-multiplication orbits."""
+    """Partition of [1, q-1]^2 into unit-multiplication orbits, in order
+    of canonical_rep: the loop meets each orbit first at its least pair."""
     units = units_mod(q - 1)
     seen = set()
     classes = []
@@ -212,7 +211,6 @@ def conjugate_classes(q: int):
             seen.update(orbit)
             classes.append(ParameterClass(q=q, members=tuple(orbit),
                                           canonical_rep=orbit[0]))
-    classes.sort(key=lambda c: c.canonical_rep)
     return classes
 
 
@@ -412,7 +410,10 @@ def _refine(D1, D2, c1, c2, rounds=None, moved1=None, moved2=None):
     moved1 and moved2 are the vertices of each digraph that moved before
     the first round (see _recolour), or None, when that round signs every
     vertex.  Every later round keys by the vertices the round before
-    moved (see _moved and _round_keys).  D2's moved vertices are those
+    moved (see _moved and _round_keys), and a round that moves no vertex
+    of D1 is the last: once D2's histogram equals D1's, each key of D2
+    holds a colour of c1, so the two colourings it refined had the same
+    colours, and no cell of either split.  D2's moved vertices are those
     whose colour is one of D1's moved colours, so that both digraphs
     leave out the same piece of every split cell even when two pieces tie
     in size, and both move as many vertices.  The colourings are those of
@@ -422,7 +423,6 @@ def _refine(D1, D2, c1, c2, rounds=None, moved1=None, moved2=None):
     """
     if rounds is None:
         rounds = []
-    ncolors = len(set(c1) | set(c2))
     for r in count():
         if r == len(rounds):
             table = {}
@@ -434,9 +434,8 @@ def _refine(D1, D2, c1, c2, rounds=None, moved1=None, moved2=None):
         new2 = list(map(table.get, _round_keys(D2, c2, moved2)))
         if dict(Counter(new2)) != hist1:
             return None
-        if len(table) == ncolors:
+        if not moved1:
             return new1, new2
-        ncolors = len(table)
         colours = set(map(new1.__getitem__, moved1))
         moved2 = list(compress(count(), map(colours.__contains__, new2)))
         c1, c2 = new1, new2
@@ -465,7 +464,6 @@ def iso_search(D1: Digraph, D2: Digraph,
     backtrack nodes raises UndecidedError (never reported as NonIso); a
     negative budget raises ValueError.
     """
-    t0 = time.perf_counter()
     if budget < 0:
         raise ValueError(f"search budget must be >= 0, got {budget}")
     if D1.n != D2.n:
@@ -475,25 +473,24 @@ def iso_search(D1: Digraph, D2: Digraph,
         name = invariants.separating_field(invariants.profile(D1),
                                            invariants.profile(D2))
         if name is not None:
-            return IsoCertificate("NonIso", witness=name,
-                                  seconds=time.perf_counter() - t0)
+            return IsoCertificate("NonIso", witness=name)
 
     root = _refine(D1, D2, invariants.vertex_seeds(D1),
                    invariants.vertex_seeds(D2))
     if root is None:
-        return IsoCertificate("NonIso", witness="color-refinement",
-                              seconds=time.perf_counter() - t0)
+        return IsoCertificate("NonIso", witness="color-refinement")
     # built once, and only when the search will branch
     group = _known_automorphisms(D2) if len(set(root[0])) < D1.n else None
     stab, apply = group or ([], None)
     nodes = 0
     # One frame per individualized vertex v of D1: v, n1, the refined
-    # colouring of D1 with v given the fresh colour, the refined colouring
+    # colouring of D1 with v given a fresh colour, the refined colouring
     # c2 of D2 it branches from, `stab`, the pointwise stabilizer within
     # the known automorphisms of D2 of the D2 vertices individualized
-    # above it, the fresh colour, the candidates w in D2 not yet taken,
-    # the `tried` orbits of those already taken and D1's refinement rounds
-    # from n1, which every candidate shares (see _refine).  The colourings
+    # above it, the candidates w in D2 not yet taken, each given v's
+    # colour n1[v] in turn, the `tried` orbits of those already taken and
+    # D1's refinement rounds from n1, which every candidate shares (see
+    # _refine).  The colourings
     # branched from are stable, so only v and w have moved: their
     # refinement reads only the arcs into the cells that split.
     stack = []
@@ -511,25 +508,21 @@ def iso_search(D1: Digraph, D2: Digraph,
                 mapping = list(map(where.__getitem__, c1))
                 if verify_mapping(D1, D2, mapping):
                     return IsoCertificate("Iso", mapping=tuple(mapping),
-                                          nodes=nodes,
-                                          seconds=time.perf_counter() - t0)
+                                          nodes=nodes)
             else:
                 # smallest non-singleton class; ties by smallest member id
                 least = min(filter((1).__lt__, size.values()))
                 color = next(compress(size, map(least.__eq__, size.values())))
-                # refined colours are 0 .. len(size) - 1
-                fresh = len(size)
                 v = c1.index(color)
                 n1 = list(c1)
-                n1[v] = fresh
+                n1[v] = len(size)       # refined colours are 0 .. len - 1
                 # D2's class of that colour, ascending, read lazily
                 candidates = compress(count(), map(color.__eq__, c2))
-                stack.append((v, n1, c2, stab, fresh, candidates, set(), []))
+                stack.append((v, n1, c2, stab, candidates, set(), []))
         if not stack:
             return IsoCertificate("NonIso", witness="search-exhausted",
-                                  nodes=nodes,
-                                  seconds=time.perf_counter() - t0)
-        v, n1, c2, stab, fresh, candidates, tried, rounds = stack[-1]
+                                  nodes=nodes)
+        v, n1, c2, stab, candidates, tried, rounds = stack[-1]
         w = next(candidates, None)
         if w is None:
             stack.pop()
@@ -544,7 +537,7 @@ def iso_search(D1: Digraph, D2: Digraph,
         # The orbit is recorded now and read only after w has failed.
         tried.update(apply(g, w) for g in stab)
         n2 = list(c2)
-        n2[w] = fresh
+        n2[w] = n1[v]
         refined = _refine(D1, D2, n1, n2, rounds, [v], [w])
         if refined is not None:
             # descend; kept for every frame on the stack, the rounds would

@@ -120,8 +120,7 @@ class ProfileCache:
         if key in self.entries:
             return
         self.entries[key] = profile
-        rec = {"q": q, "m": m, "n": n, "profile": profile.as_dict(),
-               "refinement_signature": None}
+        rec = {"q": q, "m": m, "n": n, "profile": profile.as_dict()}
         self._fh.write(json.dumps(rec) + "\n")
         self._fh.flush()
 

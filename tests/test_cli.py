@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import time
 
 import pytest
@@ -70,9 +71,11 @@ def test_iso_noniso_q17_pair(capsys):
 
 
 def test_iso_verdict_line(capsys):
-    code, out, _ = run(capsys, "iso", "5", "1", "2", "3", "2")
+    code, out, err = run(capsys, "iso", "5", "1", "2", "3", "2")
     assert code == 0
     assert out.startswith("verdict: Iso")
+    # the search's node count and time go to stderr
+    assert re.fullmatch(r"nodes=\d+ time=\d+\.\d{3}s\n", err)
 
 
 def test_iso_rejects_out_of_range_exponent(capsys):
@@ -239,7 +242,7 @@ def test_sweep_cache_bytes_pinned(capsys, tmp_path):
     data = cache.read_bytes()
     assert code == 0 and data.count(b"\n") == 26
     assert hashlib.sha256(data).hexdigest() == \
-        "c1f1576e5f921aff516d7700c5a5827500589e79dc3d9f979525d53c50c73a34"
+        "1c4007b7440f7f777127a3d694f2c85c5212b5f46693e47b0ab68bc734408fe3"
 
 
 def test_sweep_report_pinned_17_19(capsys):

@@ -217,7 +217,9 @@ def test_conjugate_classes_against_union_find(q):
     got = sorted(frozenset(c.members) for c in classes)
     assert got == _classes_oracle(q)
     for c in classes:
-        assert c.canonical_rep == min(c.members)
+        assert c.canonical_rep == min(c.members) == c.members[0]
+    reps = [c.canonical_rep for c in classes]
+    assert all(a < b for a, b in zip(reps, reps[1:]))
 
 
 def test_conjugate_class_counts_and_membership():
@@ -704,6 +706,30 @@ def test_moved_refinement_matches_full_refinement_deep(monkeypatch, q, m1,
     calls = _check_moved_refinement(monkeypatch)
     assert iso_search(D1, D2).nodes == nodes
     assert calls == {False: 1, True: nodes}
+
+
+@pytest.mark.parametrize("q, m1, n1, m2, n2, nodes, rounds1, rounds2", [
+    (16, 3, 6, 3, 9, 42, (8, 59), (8, 107)),
+    (25, 3, 6, 3, 18, 402, (4, 409), (4, 409)),
+    (16, 1, 2, 1, 8, 1, (2, 2), (2, 2)),
+], ids=["16-3-6-3-9", "25-3-6-3-18", "16-1-2-1-8"])
+def test_refinement_round_counts(monkeypatch, q, m1, n1, m2, n2, nodes,
+                                 rounds1, rounds2):
+    # the (full-signature, moved-key) rounds each digraph takes over a
+    # whole search.  D1's rounds are shared by the candidates of a node,
+    # so it takes fewer.  The colourings alone cannot show a refinement
+    # that stops a round late or early; these counts do.
+    D1, D2 = build(q, m1, n1), build(q, m2, n2)
+    counts = Counter()
+    for kind, name in enumerate(("_signatures", "_recolour")):
+        def counting(D, *args, kind=kind, original=getattr(iso, name)):
+            counts[D is D2, kind] += 1
+            return original(D, *args)
+
+        monkeypatch.setattr(iso, name, counting)
+    assert iso_search(D1, D2).nodes == nodes
+    got = [(counts[d, 0], counts[d, 1]) for d in (False, True)]
+    assert got == [rounds1, rounds2]
 
 
 _NULL_SHA = "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"

@@ -181,6 +181,33 @@ def test_cache_roundtrip(tmp_path):
     assert r1.as_dict() == r2.as_dict()
 
 
+def test_cache_loads_records_with_the_refinement_signature_slot(tmp_path):
+    # records once carried "refinement_signature": null, which nothing
+    # read; a cache written then still loads and takes new records
+    path = tmp_path / "cache.jsonl"
+    cache = ProfileCache(str(path))
+    sweep_one(8, cache=cache)
+    cache.close()
+    old = "".join(json.dumps({**json.loads(line),
+                              "refinement_signature": None}) + "\n"
+                  for line in path.read_text(encoding="utf-8").splitlines())
+    path.write_text(old, encoding="utf-8")
+
+    cache2 = ProfileCache(str(path))
+    assert cache2.entries == cache.entries
+    assert cache2.get(8, 1, 2) == cache.get(8, 1, 2) is not None
+    sweep_one(9, cache=cache2)
+    cache2.close()
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith(old) and len(text) > len(old)
+    assert "refinement_signature" not in text[len(old):]
+
+    cache3 = ProfileCache(str(path))
+    assert cache3.entries == cache2.entries
+    assert len(cache3.entries) > len(cache.entries)
+    cache3.close()
+
+
 def test_cache_tolerates_corrupt_trailing_line(tmp_path, capsys):
     path = tmp_path / "cache.jsonl"
     cache = ProfileCache(str(path))
