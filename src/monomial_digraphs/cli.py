@@ -12,6 +12,8 @@ import json
 import os
 import sys
 import time
+from contextlib import closing, nullcontext
+from dataclasses import asdict
 
 from .field import make_field, field_for_order
 from .digraph import (build_monomial, export, count_cycles_by_length,
@@ -116,11 +118,13 @@ def _cmd_build(args):
 
 def _cmd_invariants(args):
     D = _build_digraph(args.q, args.m, args.n)
-    prof = invariants.profile(D, cycle_cap=args.cycles)
+    doc = {**asdict(invariants.profile(D)), "cycle_spectrum": None}
+    if args.cycles is not None:     # reported last, null without --cycles
+        doc["cycle_spectrum"] = count_cycles_by_length(D, args.cycles)
     if args.json:
-        print(json.dumps(prof.as_dict()))
+        print(json.dumps(doc))
     else:
-        for key, value in prof.as_dict().items():
+        for key, value in doc.items():
             print(f"{key:24s} {value}")
     return EXIT_OK
 
@@ -145,23 +149,24 @@ def _cmd_iso(args):
 
 
 def _cmd_sweep(args):
-    # before the cache is opened, which creates or repairs its file
+    # the arguments, then the report, then the cache: a run that fails on
+    # one creates or cuts no file after it, and "a" keeps an existing
+    # report until the sweep is done
     _sweep_qs(args.qmin, args.qmax, args.m1_only, args.budget)
-    cache = ProfileCache(args.cache) if args.cache else None
-    try:
-        reports = run_sweep(args.qmin, args.qmax,
-                            m1_only=args.m1_only, cache=cache,
-                            budget=args.budget)
-    finally:
-        if cache is not None:
-            cache.close()
-    payload = "".join(json.dumps(r.as_dict()) + "\n" for r in reports)
+    to_file = args.json not in (None, "-")
+    with (open(args.json, "a", encoding="utf-8", newline="\n") if to_file
+          else nullcontext()) as report, \
+         (closing(ProfileCache(args.cache)) if args.cache
+          else nullcontext()) as cache:
+        reports = run_sweep(args.qmin, args.qmax, m1_only=args.m1_only,
+                            cache=cache, budget=args.budget)
+        payload = "".join(json.dumps(r.as_dict()) + "\n" for r in reports)
+        if to_file:
+            report.truncate(0)
+            report.write(payload)
     if args.json == "-":
         sys.stdout.write(payload)
-    elif args.json:
-        with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-    if args.json != "-":
+    else:
         for r in reports:
             frac = (r.resolved_by_invariant / r.cross_class_pairs
                     if r.cross_class_pairs else 1.0)

@@ -7,13 +7,12 @@ it.  Every such count has a twin that scans the arcs, which serves every
 other digraph, so the two routes can check each other.
 """
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass
 from itertools import product
 from math import comb, gcd
 
 from .field import Field, gcd_bar
-from .digraph import (Digraph, MonomialDigraph, count_cycles_by_length,
-                      psi)
+from .digraph import Digraph, MonomialDigraph, psi
 
 MOTIF_NAMES = ("K", "directed-K22")
 
@@ -40,13 +39,6 @@ class InvariantProfile:
     two_cycle_count: int
     k_motif_count: int
     k22_motif_count: int
-    cycle_spectrum: tuple | None = None
-
-    def as_dict(self):
-        d = asdict(self)
-        if d["cycle_spectrum"] is not None:
-            d["cycle_spectrum"] = list(d["cycle_spectrum"])
-        return d
 
 
 def separating_field(prof1, prof2):
@@ -267,26 +259,21 @@ def field_profile(F: Field, m: int, n: int) -> InvariantProfile:
                             k22_motif_count=k22_formula(q, m, n))
 
 
-def profile(D: Digraph, cycle_cap: int | None = None) -> InvariantProfile:
+def profile(D: Digraph) -> InvariantProfile:
     """Full invariant profile of a monomial digraph.
 
     The counts read vertex_seeds and motif_census, so a digraph that
     build_monomial made is profiled from its field, any other from its
-    arcs.  The profile without cycle spectrum is computed once per digraph
-    and kept on it; later calls return it."""
+    arcs.  The profile is computed once per digraph and kept on it; later
+    calls return it."""
     if D.params is None:
         raise ValueError("profile requires a monomial digraph")
-    base = getattr(D, "_profile", None)
-    if base is None:
-        q, m, n = D.params.q, D.params.m, D.params.n
-        base = InvariantProfile(
-            *gcd_profile(q, m, n), *count_loops(D),
+    prof = getattr(D, "_profile", None)
+    if prof is None:
+        prof = InvariantProfile(
+            *gcd_profile(*_unpack(D.params)), *count_loops(D),
             two_cycle_count=two_cycle_count(D),
             k_motif_count=motif_census(D, "K"),
-            k22_motif_count=motif_census(D, "directed-K22"),
-        )
-        D._profile = base
-    if cycle_cap is None:
-        return base
-    spectrum = tuple(count_cycles_by_length(D, cycle_cap))
-    return replace(base, cycle_spectrum=spectrum)
+            k22_motif_count=motif_census(D, "directed-K22"))
+        D._profile = prof
+    return prof

@@ -7,6 +7,7 @@ that returns checkable certificates.
 
 import math
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain, compress, count
 from operator import add, itemgetter
@@ -17,6 +18,11 @@ from .digraph import Digraph, MonomialDigraph, psi
 from . import invariants
 
 DEFAULT_SEARCH_BUDGET = 10 ** 9
+
+# the most n with n * (n + 1) ** 3 < 2 ** 63 (55,108), so that every
+# _in_arcs key fits in int64 and every colour in 16 bits
+MAX_SEARCH_VERTICES = bisect_left(range(1 << 16), 1 << 63,
+                                  key=lambda n: n * (n + 1) ** 3) - 1
 
 
 class UndecidedError(Exception):
@@ -306,8 +312,8 @@ def _in_arcs(D):
     label, with W = (n + 1) ** 3.  A colour c <= n packs with a label as
     c * S + label < W (see _signatures), so adding it keeps u apart.
     Each row is an int64 array, which is smaller than a list of these
-    ints and quicker to read, for n up to 55,000.  Made once per digraph
-    and kept on it."""
+    ints and quicker to read, for n up to MAX_SEARCH_VERTICES, which
+    iso_search checks.  Made once per digraph and kept on it."""
     if getattr(D, "_iso_in_arcs", None) is None:
         W = (D.n + 1) ** 3
         rows = [array("q") for _ in range(D.n)]
@@ -468,6 +474,9 @@ def iso_search(D1: Digraph, D2: Digraph,
         raise ValueError(f"search budget must be >= 0, got {budget}")
     if D1.n != D2.n:
         raise ValueError("digraphs must have equal vertex counts")
+    if D1.n > MAX_SEARCH_VERTICES:
+        raise ValueError(f"{D1.n} vertices exceed the search bound "
+                         f"of {MAX_SEARCH_VERTICES}")
 
     if isinstance(D1, MonomialDigraph) and isinstance(D2, MonomialDigraph):
         name = invariants.separating_field(invariants.profile(D1),
@@ -490,9 +499,10 @@ def iso_search(D1: Digraph, D2: Digraph,
     # above it, the candidates w in D2 not yet taken, each given v's
     # colour n1[v] in turn, the `tried` orbits of those already taken and
     # D1's refinement rounds from n1, which every candidate shares (see
-    # _refine).  The colourings
-    # branched from are stable, so only v and w have moved: their
-    # refinement reads only the arcs into the cells that split.
+    # _refine).  The colourings branched from are stable, so only v and w
+    # have moved: their refinement reads only the arcs into the cells that
+    # split.  n1 and c2 are 16-bit arrays: lists would keep alive the int
+    # objects that refinement makes for the colours from 257 on.
     stack = []
     node = (*root, stab)            # refined colourings still to expand
     while True:
@@ -514,7 +524,7 @@ def iso_search(D1: Digraph, D2: Digraph,
                 least = min(filter((1).__lt__, size.values()))
                 color = next(compress(size, map(least.__eq__, size.values())))
                 v = c1.index(color)
-                n1 = list(c1)
+                n1, c2 = array("H", c1), array("H", c2)
                 n1[v] = len(size)       # refined colours are 0 .. len - 1
                 # D2's class of that colour, ascending, read lazily
                 candidates = compress(count(), map(color.__eq__, c2))

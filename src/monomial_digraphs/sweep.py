@@ -14,7 +14,7 @@ dropped after the last search it takes part in.
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from itertools import combinations
 
 from .field import make_field, factor_prime_power
@@ -93,7 +93,9 @@ class ProfileCache:
             try:
                 rec = json.loads(line)
                 key = (rec["q"], rec["m"], rec["n"])
-                prof = invariants.InvariantProfile(**_profile_kwargs(rec["profile"]))
+                kw = {**rec["profile"]}
+                kw.pop("cycle_spectrum", None)      # null in older records
+                prof = invariants.InvariantProfile(**kw)
             except (ValueError, KeyError, TypeError) as exc:
                 torn = (isinstance(exc, json.JSONDecodeError) and
                         _RECORD_START.startswith(line[:len(_RECORD_START)]))
@@ -120,7 +122,7 @@ class ProfileCache:
         if key in self.entries:
             return
         self.entries[key] = profile
-        rec = {"q": q, "m": m, "n": n, "profile": profile.as_dict()}
+        rec = {"q": q, "m": m, "n": n, "profile": asdict(profile)}
         self._fh.write(json.dumps(rec) + "\n")
         self._fh.flush()
 
@@ -128,13 +130,6 @@ class ProfileCache:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-
-def _profile_kwargs(d):
-    kw = dict(d)
-    if kw.get("cycle_spectrum") is not None:
-        kw["cycle_spectrum"] = tuple(kw["cycle_spectrum"])
-    return kw
 
 
 def _m1_classes(q):

@@ -242,7 +242,7 @@ def test_sweep_cache_bytes_pinned(capsys, tmp_path):
     data = cache.read_bytes()
     assert code == 0 and data.count(b"\n") == 26
     assert hashlib.sha256(data).hexdigest() == \
-        "1c4007b7440f7f777127a3d694f2c85c5212b5f46693e47b0ab68bc734408fe3"
+        "80a0b9ba97af6ed55f3aea3b44d14deba1f9e6e1a6bf4d31c4422cddfd345e39"
 
 
 def test_sweep_report_pinned_17_19(capsys):
@@ -260,7 +260,7 @@ def test_sweep_empty_range_writes_no_line(capsys):
     assert (code, out) == (0, "")
 
 
-def test_sweep_report_file_and_cache(capsys, tmp_path):
+def test_sweep_report_file_and_cache(capsys, tmp_path, monkeypatch):
     report = tmp_path / "report.jsonl"
     cache = tmp_path / "cache.jsonl"
     code, out, _ = run(capsys, "sweep", "--qmin", "7", "--qmax", "8",
@@ -271,6 +271,41 @@ def test_sweep_report_file_and_cache(capsys, tmp_path):
     docs = [json.loads(l) for l in report.read_text().strip().splitlines()]
     assert [d["q"] for d in docs] == [7]        # m1-only skips even q
     assert cache.exists()
+    before = report.read_bytes()
+
+    # a report path that cannot be written exits 3 before the cache is
+    # opened, so it neither creates a cache file nor cuts a torn line, and
+    # before any q is swept
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("swept"))
+        torn = tmp_path / "torn.jsonl"
+        for exists in (False, True):
+            if exists:
+                torn.write_text('{"q": 7, "m": 1, "tru', encoding="utf-8")
+            code, out, err = run(capsys, "sweep", "--qmin", "2",
+                                 "--qmax", "5", "--cache", str(torn),
+                                 "--json", str(tmp_path / "no" / "x.jsonl"))
+            assert (code, out) == (3, "") and "i/o error" in err
+            assert torn.exists() == exists
+        assert torn.read_text(encoding="utf-8") == '{"q": 7, "m": 1, "tru'
+
+    # a run that exits 1 on its arguments, or 3 on a corrupt cache, leaves
+    # an existing report as it was, and the cache's bytes too
+    code, _, _ = run(capsys, "sweep", "--qmin", "5", "--qmax", "3",
+                     "--json", str(report))
+    assert (code, report.read_bytes()) == (1, before)
+    notes = tmp_path / "notes.txt"
+    notes.write_bytes(b"notes")
+    code, _, _ = run(capsys, "sweep", "--qmin", "3", "--qmax", "3",
+                     "--json", str(report), "--cache", str(notes))
+    assert (code, report.read_bytes(), notes.read_bytes()) == \
+        (3, before, b"notes")
+    # a finished sweep replaces the report
+    code, _, _ = run(capsys, "sweep", "--qmin", "3", "--qmax", "3",
+                     "--json", str(report))
+    assert code == 0
+    assert [json.loads(l)["q"] for l in report.read_text().splitlines()] \
+        == [3]
 
 
 def test_sweep_cache_from_the_environment(capsys, tmp_path, monkeypatch):

@@ -10,15 +10,14 @@ pair at each q <= 19.
 import math
 import sys
 import time
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, fields
 from itertools import combinations, permutations, product
 
 import pytest
 
 from monomial_digraphs.field import field_for_order, gcd_bar
 from monomial_digraphs.digraph import (Digraph, MonomialParams,
-                                       build_monomial, reverse,
-                                       count_cycles_by_length)
+                                       build_monomial, reverse)
 from monomial_digraphs.invariants import (gcd_profile, count_loops,
                                           vertex_seeds,
                                           two_cycle_count, two_cycle_formula,
@@ -139,7 +138,7 @@ def test_fields_left_out_of_pruning_follow_the_gcd_profile():
     # a field outside PRUNING_FIELDS is a function of the gcd profile, so
     # it cannot separate a pair that the gcd filter has passed
     rest = [f.name for f in fields(InvariantProfile)
-            if f.name not in PRUNING_FIELDS and f.name != "cycle_spectrum"]
+            if f.name not in PRUNING_FIELDS]
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
         F = field_for_order(q)
         by_gcd, two_cycles = {}, {}
@@ -264,9 +263,6 @@ def test_profile_fig1():
     assert (p.m_bar, p.n_bar, p.sum_bar, p.diff_bar) == (1, 2, 1, 1)
     assert (p.loop_total, p.loop_distinct_nonzero_y) == (3, 2)
     assert p.two_cycle_count == 9
-    assert p.cycle_spectrum is None
-    p2 = profile(build(3, 1, 2), cycle_cap=3)
-    assert p2.cycle_spectrum == (3, 9, 4)
 
 
 def test_profile_is_computed_once_per_digraph(monkeypatch):
@@ -277,8 +273,6 @@ def test_profile_is_computed_once_per_digraph(monkeypatch):
     D1, D2 = build(8, 1, 2), build(8, 1, 4)
     p1 = profile(D1)
     assert profile(D1) is p1
-    assert profile(D1, cycle_cap=2) == replace(
-        p1, cycle_spectrum=tuple(count_cycles_by_length(D1, 2)))
     assert len(calls) == 1
     iso_search(D1, D2)                  # profiles D2 only
     assert len(calls) == 2

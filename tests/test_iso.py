@@ -375,6 +375,19 @@ def test_iso_search_rejects_negative_budget():
                       budget=0).witness == "color-refinement"
 
 
+def test_iso_search_rejects_digraphs_past_the_arc_key_bound():
+    # each _in_arcs key u * (n + 1) ** 3 + label must fit in int64, which
+    # holds up to n = 55,108; past it the search raises before any work
+    bound = iso.MAX_SEARCH_VERTICES
+    assert bound * (bound + 1) ** 3 < 2 ** 63 <= (bound + 1) * (bound + 2) ** 3
+    assert bound < 2 ** 16              # colours fit the frames' arrays
+    n = 56_000
+    D = Digraph([[(v + 1) % n] for v in range(n)])
+    with pytest.raises(ValueError, match="55108"):
+        iso_search(D, D)
+    assert getattr(D, "_iso_in_arcs", None) is None and D._radj is None
+
+
 def test_iso_search_reads_vertex_seeds_not_arcs(monkeypatch):
     # the profile and the initial colours read invariants.vertex_seeds,
     # so no per-arc scan with has_arc is left on this path

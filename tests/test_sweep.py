@@ -182,15 +182,21 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_cache_loads_records_with_the_refinement_signature_slot(tmp_path):
-    # records once carried "refinement_signature": null, which nothing
-    # read; a cache written then still loads and takes new records
+    # records once carried "refinement_signature": null, and their
+    # profiles "cycle_spectrum": null, which nothing read; a cache written
+    # then still loads and takes new records without either slot
     path = tmp_path / "cache.jsonl"
     cache = ProfileCache(str(path))
     sweep_one(8, cache=cache)
     cache.close()
-    old = "".join(json.dumps({**json.loads(line),
+    new = [json.loads(line)
+           for line in path.read_text(encoding="utf-8").splitlines()]
+    assert all("refinement_signature" not in rec
+               and "cycle_spectrum" not in rec["profile"] for rec in new)
+    old = "".join(json.dumps({**rec, "profile": {**rec["profile"],
+                                                 "cycle_spectrum": None},
                               "refinement_signature": None}) + "\n"
-                  for line in path.read_text(encoding="utf-8").splitlines())
+                  for rec in new)
     path.write_text(old, encoding="utf-8")
 
     cache2 = ProfileCache(str(path))
@@ -201,6 +207,7 @@ def test_cache_loads_records_with_the_refinement_signature_slot(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert text.startswith(old) and len(text) > len(old)
     assert "refinement_signature" not in text[len(old):]
+    assert "cycle_spectrum" not in text[len(old):]
 
     cache3 = ProfileCache(str(path))
     assert cache3.entries == cache2.entries
